@@ -32,7 +32,7 @@ from repro.data import generate_dataset
 from repro.experiments.runner import get_scale
 from repro.nn.serialization import save_checkpoint
 from repro.serving import InferenceEngine
-from repro.serving.stats import percentile
+from repro.obs.metrics import percentile
 
 from benchmarks.conftest import emit_bench, print_table
 

@@ -1,19 +1,17 @@
 """Shared interface for every model the harness can train/evaluate.
 
-Every baseline speaks the encode/decode protocol of the execution
-plane (:mod:`repro.core.execution`):
+Every baseline speaks the one encode/decode protocol of the execution
+plane (:mod:`repro.core.execution`): :meth:`TKGBaseline.encode` turns
+a window into an :class:`EncoderState` and :meth:`TKGBaseline.decode`
+scores query blocks against it.  ``score_entities``, ``loss``, and
+``predict_entities`` all route through that pair, and every state can
+be cached, grouped by the timeline batcher, and shared through the
+serving state tier.
 
-- **split** models set ``supports_encode_split = True`` and override
-  :meth:`encode` (window -> :class:`EncoderState`) and :meth:`decode`
-  (state + queries -> logits).  Their ``score_entities`` falls through
-  to ``decode(encode(window))`` automatically, and their states are
-  eligible for the encoder-state cache.
-- **fused** models — those whose decoding consumes query-dependent
-  window inputs (per-query vocabulary masks, per-query subgraph
-  expansion) — just implement :meth:`score_entities`.  The inherited
-  :meth:`encode` returns a fused shim state that carries the window,
-  and :meth:`decode` replays the fused path; such states are never
-  cached.
+Models whose decode reads per-query history — the vocabulary baselines
+(CyGNet, CENET, TiRGN) — carry the window's vocabulary index in
+``state.int_aux`` and build their dense masks at decode time through
+:class:`HistoryMask`, the one owner of the mask penalty.
 """
 
 from __future__ import annotations
@@ -26,8 +24,43 @@ import numpy as np
 from repro.nn import cross_entropy
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
-from repro.core.execution import EncoderState, make_fused_state, make_state
+from repro.core.execution import EncoderState, make_state
 from repro.core.window import HistoryWindow
+from repro.graphs.history import VocabularyIndex, vocabulary_mask
+
+#: Logit offset that pushes masked-out candidates out of a softmax.
+_MASK_PENALTY = 100.0
+
+
+def window_vocabulary(model, window: HistoryWindow) -> VocabularyIndex:
+    """The window's vocabulary index, or a clear error when untracked."""
+    if window.vocabulary is None:
+        raise RuntimeError(
+            f"{type(model).__name__} needs the history vocabulary in the window "
+            "(build it with track_vocabulary=True)"
+        )
+    return window.vocabulary
+
+
+class HistoryMask:
+    """Dense (n, |E|) 0/1 mask of the objects each query pair has seen.
+
+    Built at decode time from the vocabulary index a state carries in
+    ``int_aux[:3]``; the same index always yields the same mask values,
+    so decoding from a cached or tier-loaded state is bitwise-equal to
+    decoding right after ``encode``.
+    """
+
+    def __init__(self, state: EncoderState, queries: np.ndarray, num_entities: int):
+        self.values = vocabulary_mask(state.int_aux[:3], queries[:, 0], queries[:, 1], num_entities)
+
+    def keep_seen(self, logits: Tensor) -> Tensor:
+        """Penalise every candidate the pair has never been seen with."""
+        return logits + Tensor((self.values - 1.0) * _MASK_PENALTY)
+
+    def keep_unseen(self, logits: Tensor) -> Tensor:
+        """Penalise every candidate the pair has been seen with."""
+        return logits + Tensor(-self.values * _MASK_PENALTY)
 
 
 @dataclass(frozen=True)
@@ -42,21 +75,17 @@ class ModelRequirements:
 class TKGBaseline(Module):
     """Base class: entity scoring + optional relation scoring.
 
-    Subclasses implement :meth:`score_entities` returning logits over
-    all entities (fused models), or the encode/decode pair (split
-    models); the default :meth:`loss` is cross-entropy on the target
-    objects (inverse queries included by the harness).
+    Subclasses implement :meth:`encode` and :meth:`decode`; the default
+    :meth:`decode_loss` is cross-entropy on the target objects (inverse
+    queries included by the harness).
     """
 
     requirements = ModelRequirements()
-    #: Split subclasses (real encode/decode) flip this to True; fused
-    #: models keep False and go through the carry-the-window shim.
-    supports_encode_split = False
     #: Graph-encoder subclasses whose ``encode`` reads window graphs
     #: through :meth:`HistoryWindow.scope_entities` flip this to True;
     #: the :class:`~repro.core.execution.ScopedExecutionPlan` passes
-    #: everything else (fused models, static embedders) through to the
-    #: full-graph plan.
+    #: everything else (vocabulary and walk models, static embedders)
+    #: through to the full-graph plan.
     supports_query_scoping = False
 
     def __init__(self, num_entities: int, num_relations: int):
@@ -68,17 +97,12 @@ class TKGBaseline(Module):
     # encode/decode protocol
     # ------------------------------------------------------------------
     def encode(self, window: HistoryWindow) -> EncoderState:
-        """Fused fallback: a non-cacheable state carrying the window."""
-        return make_fused_state(self, window)
+        """Window -> frozen encoder state."""
+        raise NotImplementedError
 
     def decode(self, state: EncoderState, queries: np.ndarray) -> Tensor:
-        """Fused fallback: replay the original single-phase path."""
-        if state.window is None:
-            raise ValueError(
-                f"{type(self).__name__} is fused but got a windowless state; "
-                "fused states must come from this model's own encode()"
-            )
-        return self.score_entities(state.window, queries)
+        """Entity logits (n, |E|) for ``queries`` from an encoded state."""
+        raise NotImplementedError
 
     def decode_relations(self, state: EncoderState, queries: np.ndarray) -> Optional[Tensor]:
         """Relation logits (n, 2|R|), or None for entity-only models."""
@@ -90,11 +114,11 @@ class TKGBaseline(Module):
         """Entity scores restricted to candidates ``[lo, hi)``.
 
         Default: full decode, then slice — range-consistent for every
-        model (including fused ones) because each shard's slice is a
-        sub-array of the one full score matrix.  Models whose decode
-        ends in a candidate matmul override this with a genuinely
-        restricted tile-grid computation (HisRES, RE-GCN) so sharded
-        serving workers do ~``1/num_shards`` of the decode work.
+        model because each shard's slice is a sub-array of the one full
+        score matrix.  Models whose decode ends in a candidate matmul
+        override this with a genuinely restricted tile-grid computation
+        (HisRES, RE-GCN) so sharded serving workers do
+        ~``1/num_shards`` of the decode work.
         """
         return np.asarray(self.decode(state, queries).data)[:, lo:hi]
 
@@ -104,8 +128,9 @@ class TKGBaseline(Module):
         entity_matrix: Optional[Tensor],
         relation_matrix: Optional[Tensor],
         aux: Tuple[Tensor, ...] = (),
+        int_aux: Tuple[np.ndarray, ...] = (),
     ) -> EncoderState:
-        return make_state(self, window, entity_matrix, relation_matrix, aux=aux)
+        return make_state(self, window, entity_matrix, relation_matrix, aux=aux, int_aux=int_aux)
 
     # ------------------------------------------------------------------
     # query-scoped (sampled) execution hooks
@@ -132,27 +157,21 @@ class TKGBaseline(Module):
 
     # ------------------------------------------------------------------
     def score_entities(self, window: HistoryWindow, queries: np.ndarray) -> Tensor:
-        if self.supports_encode_split:
-            return self.decode(self.encode(window), queries)
-        raise NotImplementedError
+        return self.decode(self.encode(window), queries)
 
     def decode_loss(self, state: EncoderState, queries: np.ndarray) -> Tensor:
         """Training objective given an (grad-live) encoder state.
 
-        Split models route :meth:`loss` through here so the scoped plan
-        can reuse the exact same objective on a scattered state during
-        sampled training.  Default: cross-entropy on the target objects;
-        joint models override with their combined objective.
+        :meth:`loss` routes through here so the scoped plan can reuse the
+        exact same objective on a scattered state during sampled
+        training.  Default: cross-entropy on the target objects; joint
+        models override with their combined objective.
         """
         queries = np.asarray(queries, dtype=np.int64)
         return cross_entropy(self.decode(state, queries), queries[:, 2])
 
     def loss(self, window: HistoryWindow, queries: np.ndarray) -> Tensor:
-        queries = np.asarray(queries, dtype=np.int64)
-        if self.supports_encode_split:
-            return self.decode_loss(self.encode(window), queries)
-        logits = self.score_entities(window, queries)
-        return cross_entropy(logits, queries[:, 2])
+        return self.decode_loss(self.encode(window), np.asarray(queries, dtype=np.int64))
 
     def predict_entities(self, window: HistoryWindow, queries: np.ndarray) -> np.ndarray:
         with self.inference_mode():

@@ -29,7 +29,6 @@ class CEN(TKGBaseline):
     """Ensemble of evolution encoders over multiple history lengths."""
 
     requirements = ModelRequirements(recent_snapshots=True)
-    supports_encode_split = True
     supports_query_scoping = True
 
     def __init__(

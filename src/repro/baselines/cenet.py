@@ -17,10 +17,9 @@ import numpy as np
 from repro.nn import Dropout, Embedding, Linear, binary_cross_entropy_with_logits, nll_loss
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor, concat
-from repro.baselines.base import ModelRequirements, TKGBaseline
+from repro.baselines.base import HistoryMask, ModelRequirements, TKGBaseline, window_vocabulary
+from repro.core.execution import EncoderState
 from repro.core.window import HistoryWindow
-
-_MASK_PENALTY = 100.0
 
 
 class CENET(TKGBaseline):
@@ -47,30 +46,36 @@ class CENET(TKGBaseline):
         self.classifier = Linear(dim, 1)
         self.dropout = Dropout(dropout)
 
-    def _query_vec(self, queries: np.ndarray) -> Tensor:
-        s = self.entity(queries[:, 0])
-        r = self.relation(queries[:, 1])
+    def encode(self, window: HistoryWindow) -> EncoderState:
+        """State: the embedding tables plus the window's vocabulary index."""
+        return self._make_state(
+            window, self.entity.all(), self.relation.all(),
+            int_aux=window_vocabulary(self, window),
+        )
+
+    def _query_vec(self, state: EncoderState, queries: np.ndarray) -> Tensor:
+        s = state.entity_matrix.index_select(queries[:, 0])
+        r = state.relation_matrix.index_select(queries[:, 1])
         return self.dropout(F.relu(self.query_proj(concat([s, r], axis=1))))
 
-    def score_entities(self, window: HistoryWindow, queries: np.ndarray) -> Tensor:
-        queries = np.asarray(queries, dtype=np.int64)
-        if window.history_masks is None:
-            raise RuntimeError("CENET needs history vocabulary masks in the window")
-        q = self._query_vec(queries)
-        mask = window.history_masks
-        hist_logits = self.historical_proj(q) + Tensor((mask - 1.0) * _MASK_PENALTY)
-        nonhist_logits = self.nonhistorical_proj(q) + Tensor(-mask * _MASK_PENALTY)
+    def _log_probs(self, state: EncoderState, queries: np.ndarray, mask: HistoryMask) -> Tensor:
+        q = self._query_vec(state, queries)
+        hist_logits = mask.keep_seen(self.historical_proj(q))
+        nonhist_logits = mask.keep_unseen(self.nonhistorical_proj(q))
         gate = self.classifier(q).sigmoid()  # P(answer is historical)
         mixed = F.softmax(hist_logits) * gate + F.softmax(nonhist_logits) * (1.0 - gate)
         return (mixed + 1e-12).log()
 
-    def loss(self, window: HistoryWindow, queries: np.ndarray) -> Tensor:
+    def decode(self, state: EncoderState, queries: np.ndarray) -> Tensor:
         queries = np.asarray(queries, dtype=np.int64)
-        log_probs = self.score_entities(window, queries)
-        main = nll_loss(log_probs, queries[:, 2])
+        return self._log_probs(state, queries, HistoryMask(state, queries, self.num_entities))
+
+    def decode_loss(self, state: EncoderState, queries: np.ndarray) -> Tensor:
+        queries = np.asarray(queries, dtype=np.int64)
+        mask = HistoryMask(state, queries, self.num_entities)
+        main = nll_loss(self._log_probs(state, queries, mask), queries[:, 2])
         # supervise the historical/non-historical classifier
-        mask = window.history_masks
-        labels = mask[np.arange(len(queries)), queries[:, 2]]
-        gate_logits = self.classifier(self._query_vec(queries)).reshape(len(queries))
+        labels = mask.values[np.arange(len(queries)), queries[:, 2]]
+        gate_logits = self.classifier(self._query_vec(state, queries)).reshape(len(queries))
         aux = binary_cross_entropy_with_logits(gate_logits, labels)
         return main + aux * self.contrastive_weight

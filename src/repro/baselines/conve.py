@@ -23,8 +23,6 @@ from repro.core.window import HistoryWindow
 class ConvE(TKGBaseline):
     """2-D convolution over reshaped (s, r) embedding images."""
 
-    supports_encode_split = True
-
     def __init__(
         self,
         num_entities: int,
@@ -65,8 +63,6 @@ class ConvE(TKGBaseline):
 
 class ConvTransEModel(TKGBaseline):
     """Standalone ConvTransE: the HisRES decoder on static embeddings."""
-
-    supports_encode_split = True
 
     def __init__(
         self,

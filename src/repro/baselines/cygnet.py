@@ -16,10 +16,9 @@ import numpy as np
 from repro.nn import Embedding, Linear
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor, concat
-from repro.baselines.base import ModelRequirements, TKGBaseline
+from repro.baselines.base import HistoryMask, ModelRequirements, TKGBaseline, window_vocabulary
+from repro.core.execution import EncoderState
 from repro.core.window import HistoryWindow
-
-_MASK_PENALTY = 100.0
 
 
 class CyGNet(TKGBaseline):
@@ -44,17 +43,22 @@ class CyGNet(TKGBaseline):
         self.copy_proj = Linear(2 * dim, num_entities)
         self.generate_proj = Linear(2 * dim, num_entities)
 
-    def score_entities(self, window: HistoryWindow, queries: np.ndarray) -> Tensor:
+    def encode(self, window: HistoryWindow) -> EncoderState:
+        """State: the embedding tables plus the window's vocabulary index."""
+        return self._make_state(
+            window, self.entity.all(), self.relation.all(),
+            int_aux=window_vocabulary(self, window),
+        )
+
+    def decode(self, state: EncoderState, queries: np.ndarray) -> Tensor:
         queries = np.asarray(queries, dtype=np.int64)
-        if window.history_masks is None:
-            raise RuntimeError("CyGNet needs history vocabulary masks in the window")
-        s = self.entity(queries[:, 0])
-        r = self.relation(queries[:, 1])
+        s = state.entity_matrix.index_select(queries[:, 0])
+        r = state.relation_matrix.index_select(queries[:, 1])
         query_vec = concat([s, r], axis=1)
 
-        copy_logits = self.copy_proj(query_vec)
-        mask = window.history_masks  # (n, |E|), binary
-        copy_logits = copy_logits + Tensor((mask - 1.0) * _MASK_PENALTY)
+        copy_logits = HistoryMask(state, queries, self.num_entities).keep_seen(
+            self.copy_proj(query_vec)
+        )
         generate_logits = self.generate_proj(query_vec)
 
         mixed = (

@@ -38,7 +38,6 @@ class HGLS(TKGBaseline):
     """
 
     requirements = ModelRequirements(recent_snapshots=True)
-    supports_encode_split = True
     supports_query_scoping = True
 
     def __init__(

@@ -64,7 +64,6 @@ class LogCL(TKGBaseline):
     """Local-global fusion with a contrastive alignment term."""
 
     requirements = ModelRequirements(recent_snapshots=True, global_graph=True)
-    supports_encode_split = True
     supports_query_scoping = True
 
     def __init__(

@@ -28,7 +28,6 @@ class REGCN(TKGBaseline):
     """Recurrent evolutional GCN with ConvTransE decoding."""
 
     requirements = ModelRequirements(recent_snapshots=True)
-    supports_encode_split = True
     supports_query_scoping = True
 
     def __init__(

@@ -27,7 +27,6 @@ class RENet(TKGBaseline):
     """Mean-aggregator + GRU temporal encoder with an MLP decoder."""
 
     requirements = ModelRequirements(recent_snapshots=True)
-    supports_encode_split = True
     supports_query_scoping = True
 
     def __init__(self, num_entities: int, num_relations: int, dim: int = 32, dropout: float = 0.1):

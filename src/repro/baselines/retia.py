@@ -32,7 +32,6 @@ class RETIA(TKGBaseline):
     """Twin entity/relation aggregation over snapshot + line graphs."""
 
     requirements = ModelRequirements(recent_snapshots=True)
-    supports_encode_split = True
     supports_query_scoping = True
 
     def __init__(

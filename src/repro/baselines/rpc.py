@@ -38,7 +38,6 @@ class RPC(TKGBaseline):
     """Relational + periodic correspondence units over recent snapshots."""
 
     requirements = ModelRequirements(recent_snapshots=True)
-    supports_encode_split = True
     supports_query_scoping = True
 
     def __init__(

@@ -27,8 +27,6 @@ from repro.core.window import HistoryWindow
 class DistMult(TKGBaseline):
     """Bilinear diagonal model: score = <s, r, o> (Yang et al., 2015)."""
 
-    supports_encode_split = True
-
     def __init__(self, num_entities: int, num_relations: int, dim: int = 32):
         super().__init__(num_entities, num_relations)
         self.dim = dim
@@ -48,8 +46,6 @@ class DistMult(TKGBaseline):
 class ComplEx(TKGBaseline):
     """Complex bilinear model: score = Re(<s, r, conj(o)>)
     (Trouillon et al., 2016).  Stored as separate real/imag tables."""
-
-    supports_encode_split = True
 
     def __init__(self, num_entities: int, num_relations: int, dim: int = 32):
         super().__init__(num_entities, num_relations)
@@ -84,8 +80,6 @@ class ComplEx(TKGBaseline):
 class RotatE(TKGBaseline):
     """Rotation model: o ~ s * e^{i theta_r}; score = -||s o r - o||_1
     (Sun et al., 2019)."""
-
-    supports_encode_split = True
 
     def __init__(self, num_entities: int, num_relations: int, dim: int = 32, margin: float = 6.0):
         super().__init__(num_entities, num_relations)

@@ -17,13 +17,12 @@ import numpy as np
 from repro.nn import Embedding, cross_entropy, nll_loss
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
-from repro.baselines.base import ModelRequirements, TKGBaseline
+from repro.baselines.base import HistoryMask, ModelRequirements, TKGBaseline, window_vocabulary
 from repro.core.decoder import ConvTransEDecoder
+from repro.core.execution import EncoderState
 from repro.core.evolution import MultiGranularityEvolutionaryEncoder
 from repro.core.time_encoding import TimeEncoding
 from repro.core.window import HistoryWindow
-
-_MASK_PENALTY = 100.0
 
 
 class TiRGN(TKGBaseline):
@@ -63,38 +62,35 @@ class TiRGN(TKGBaseline):
         self.entity_decoder = ConvTransEDecoder(dim, channels=channels, kernel_size=kernel_size, dropout=dropout)
         self.relation_decoder = ConvTransEDecoder(dim, channels=channels, kernel_size=kernel_size, dropout=dropout)
 
-    def _encode(self, window: HistoryWindow):
-        return self.encoder(
+    def encode(self, window: HistoryWindow) -> EncoderState:
+        """Local recurrent encode; the vocabulary index rides ``int_aux``."""
+        entity_matrix, _, relation_matrix = self.encoder(
             self.entity.all(), self.relation.all(), window.snapshots, [], window.deltas
         )
+        return self._make_state(
+            window, entity_matrix, relation_matrix, int_aux=window_vocabulary(self, window)
+        )
 
-    def _local_logits(self, entity_matrix, relation_matrix, window, queries):
-        s = entity_matrix.index_select(queries[:, 0])
-        # time-guided: condition the subject on the prediction step
-        s = self.time_encoding(s, 1.0)
-        r = relation_matrix.index_select(queries[:, 1])
-        return self.entity_decoder(s, r, entity_matrix)
-
-    def score_entities(self, window: HistoryWindow, queries: np.ndarray) -> Tensor:
+    def decode(self, state: EncoderState, queries: np.ndarray) -> Tensor:
         queries = np.asarray(queries, dtype=np.int64)
-        if window.history_masks is None:
-            raise RuntimeError("TiRGN needs history vocabulary masks in the window")
-        entity_matrix, _, relation_matrix = self._encode(window)
-        local = self._local_logits(entity_matrix, relation_matrix, window, queries)
-        masked = local + Tensor((window.history_masks - 1.0) * _MASK_PENALTY)
+        # time-guided: condition the subject on the prediction step
+        s = self.time_encoding(state.entity_matrix.index_select(queries[:, 0]), 1.0)
+        r = state.relation_matrix.index_select(queries[:, 1])
+        local = self.entity_decoder(s, r, state.entity_matrix)
+        masked = HistoryMask(state, queries, self.num_entities).keep_seen(local)
         mixed = (
             F.softmax(masked) * self.global_weight
             + F.softmax(local) * (1.0 - self.global_weight)
         )
         return (mixed + 1e-12).log()
 
-    def loss(self, window: HistoryWindow, queries: np.ndarray) -> Tensor:
+    def decode_loss(self, state: EncoderState, queries: np.ndarray) -> Tensor:
+        """Joint entity + relation objective from ONE encode (HisRES Eq. 15
+        style); the relation decoder only trains, it is not a ranking head."""
         queries = np.asarray(queries, dtype=np.int64)
-        entity_log_probs = self.score_entities(window, queries)
-        entity_loss = nll_loss(entity_log_probs, queries[:, 2])
-        entity_matrix, _, relation_matrix = self._encode(window)
-        s = entity_matrix.index_select(queries[:, 0])
-        o = entity_matrix.index_select(queries[:, 2])
-        relation_logits = self.relation_decoder(s, o, relation_matrix)
+        entity_loss = nll_loss(self.decode(state, queries), queries[:, 2])
+        s = state.entity_matrix.index_select(queries[:, 0])
+        o = state.entity_matrix.index_select(queries[:, 2])
+        relation_logits = self.relation_decoder(s, o, state.relation_matrix)
         relation_loss = cross_entropy(relation_logits, queries[:, 1])
         return entity_loss * self.alpha + relation_loss * (1.0 - self.alpha)

@@ -18,11 +18,11 @@ import numpy as np
 
 from repro.nn import Embedding, Linear, Parameter, init
 from repro.nn import functional as F
-from repro.nn.segment import segment_sum_data
-from repro.nn.tensor import Tensor
+from repro.nn.segment import SegmentLayout, segment_sum_data
+from repro.nn.tensor import Tensor, concat
 from repro.baselines.base import ModelRequirements, TKGBaseline
+from repro.core.execution import EncoderState
 from repro.core.window import HistoryWindow
-from repro.graphs.compiled import compiled
 
 
 class XERTE(TKGBaseline):
@@ -50,8 +50,32 @@ class XERTE(TKGBaseline):
         self.fallback_scale = Parameter(init.ones((1,)))
 
     # ------------------------------------------------------------------
-    def _walk_scores(self, window: HistoryWindow, queries: np.ndarray) -> np.ndarray:
-        """Propagate per-query attention mass along recent edges.
+    def encode(self, window: HistoryWindow) -> EncoderState:
+        """Score every recent edge once, newest snapshot first.
+
+        ``aux`` holds one time-decayed, relation-compatibility weight
+        vector per non-empty snapshot; ``int_aux`` holds the matching
+        ``(src, dst)`` edge lists the query walk in :meth:`decode`
+        follows.
+        """
+        ent_emb = self.entity.all()
+        rel_emb = self.relation.all()
+        compat, edges = [], []
+        for age, graph in enumerate(reversed(window.snapshots)):
+            if graph.num_edges == 0:
+                continue
+            triples = concat(
+                [ent_emb.index_select(graph.src), rel_emb.index_select(graph.rel),
+                 ent_emb.index_select(graph.dst)],
+                axis=1,
+            )
+            score = self.edge_score(triples).data.reshape(-1)
+            compat.append(Tensor(np.exp(np.clip(score, -10, 10)) * self.decay**age))
+            edges += [graph.src, graph.dst]
+        return self._make_state(window, ent_emb, rel_emb, aux=tuple(compat), int_aux=tuple(edges))
+
+    def _walk(self, state: EncoderState, queries: np.ndarray) -> np.ndarray:
+        """Propagate per-query attention mass along the encoded edges.
 
         Returns a (n, |E|) non-negative evidence matrix: how much
         time-decayed, relation-compatible attention flowed from each
@@ -60,49 +84,36 @@ class XERTE(TKGBaseline):
         n = len(queries)
         mass = np.zeros((n, self.num_entities))
         mass[np.arange(n), queries[:, 0]] = 1.0
-
-        # Pre-score every edge in the window once per query relation.
-        rel_emb = self.relation.all()
-        ent_emb = self.entity.all()
         evidence = np.zeros((n, self.num_entities))
-        for age, graph in enumerate(reversed(window.snapshots)):
-            if graph.num_edges == 0:
-                continue
-            time_prior = self.decay**age
-            subj = ent_emb.index_select(graph.src)
-            rel = rel_emb.index_select(graph.rel)
-            obj = ent_emb.index_select(graph.dst)
-            from repro.nn.tensor import concat
-
-            compat = self.edge_score(concat([subj, rel, obj], axis=1)).data.reshape(-1)
-            compat = np.exp(np.clip(compat, -10, 10)) * time_prior
-            dst_layout = compiled(graph).dst_layout
+        for compat, src, dst in zip(state.aux, state.int_aux[0::2], state.int_aux[1::2]):
+            dst_layout = SegmentLayout(dst, self.num_entities)
             current = mass
             for _ in range(self.hops):
-                contrib = current[:, graph.src] * compat[None, :]
+                contrib = current[:, src] * compat.data[None, :]
                 flowed = segment_sum_data(contrib.T, dst_layout).T
                 evidence += flowed
                 current = flowed / (flowed.sum(axis=1, keepdims=True) + 1e-9)
         return evidence
 
-    def score_entities(self, window: HistoryWindow, queries: np.ndarray) -> Tensor:
+    def decode(self, state: EncoderState, queries: np.ndarray) -> Tensor:
         queries = np.asarray(queries, dtype=np.int64)
-        s = self.entity(queries[:, 0])
-        r = self.relation(queries[:, 1])
-        from repro.nn.tensor import concat
-
+        s = state.entity_matrix.index_select(queries[:, 0])
+        r = state.relation_matrix.index_select(queries[:, 1])
         query_vec = F.tanh(self.query_proj(concat([s, r], axis=1)))
-        semantic = query_vec @ self.entity.all().T
-        evidence = self._walk_scores(window, queries)
+        semantic = query_vec @ state.entity_matrix.T
         # log-evidence bonus keeps the walk differentiable-free but the
         # semantic term trainable; fallback_scale learns their balance
-        bonus = Tensor(np.log1p(evidence))
+        bonus = Tensor(np.log1p(self._walk(state, queries)))
         return semantic + bonus * self.fallback_scale
+
+    def _walk_scores(self, window: HistoryWindow, queries: np.ndarray) -> np.ndarray:
+        """The walk's evidence matrix for ``queries`` over ``window``."""
+        with self.inference_mode():
+            return self._walk(self.encode(window), np.asarray(queries, dtype=np.int64))
 
     def explain(self, window: HistoryWindow, query: np.ndarray, top_k: int = 5) -> List[Dict]:
         """Evidence entities behind one query's prediction (by walk mass)."""
-        query = np.asarray(query, dtype=np.int64).reshape(1, -1)
-        evidence = self._walk_scores(window, query)[0]
+        evidence = self._walk_scores(window, np.asarray(query).reshape(1, -1))[0]
         order = np.argsort(evidence)[::-1][:top_k]
         return [
             {"entity": int(e), "evidence_mass": float(evidence[e])}

@@ -7,12 +7,10 @@ matrix is cheap.  This module makes that split an explicit, shared
 contract instead of a private detail of each model:
 
 - :class:`EncoderState` — frozen result of ``model.encode(window)``:
-  the evolved entity/relation matrices plus the window fingerprint,
-  model version, and dtype they were computed under.  Models that
-  genuinely cannot split (per-query vocabulary masks, per-query
-  subgraph expansion) return a *fused* state that simply carries the
-  window; their decode runs the original fused path and their states
-  are never cached.
+  the evolved entity/relation matrices, any model-specific float
+  (``aux``) and integer (``int_aux``) decode inputs, plus the window
+  fingerprint, model version, and dtype they were computed under.
+  Every model speaks this protocol, so every state is cacheable.
 - :class:`EncoderStateCache` — LRU over encoder states, keyed on the
   window content fingerprint + model version + dtype, with hit/miss/
   evict counters on the :mod:`repro.obs` registry and a span around
@@ -144,11 +142,14 @@ class EncoderState:
     """Frozen output of one ``model.encode(window)`` call.
 
     Attributes:
-        entity_matrix: evolved entity embeddings (None for fused states
-            and models whose state lives entirely in ``aux``).
+        entity_matrix: evolved entity embeddings (None for models whose
+            state lives entirely in ``aux``).
         relation_matrix: evolved relation embeddings (or None).
         aux: model-specific extra tensors (e.g. CEN's per-length
-            matrices, ComplEx's real/imaginary tables).
+            matrices, ComplEx's real/imaginary tables, xERTE's per-edge
+            attention priors).
+        int_aux: model-specific int64 decode inputs (the vocabulary
+            index of CyGNet/CENET/TiRGN, xERTE's walk edge lists).
         fingerprint: content fingerprint of the window this state was
             encoded from (filled in by the cache layer; None for states
             produced outside a cache).
@@ -156,10 +157,6 @@ class EncoderState:
             time.
         dtype: engine default dtype at encode time.
         prediction_time: the window's prediction timestamp.
-        window: the originating window — kept **only** for fused states,
-            whose decode still consumes query-dependent window inputs.
-        fused: True when the model could not split and decode will
-            re-run the fused path.
     """
 
     entity_matrix: Optional[Tensor]
@@ -169,13 +166,7 @@ class EncoderState:
     model_version: int = 0
     dtype: str = "float64"
     prediction_time: int = 0
-    window: Optional[HistoryWindow] = None
-    fused: bool = False
-
-    @property
-    def cacheable(self) -> bool:
-        """Fused states carry per-query window inputs; never cache them."""
-        return not self.fused
+    int_aux: Tuple[np.ndarray, ...] = ()
 
 
 def make_state(
@@ -184,28 +175,17 @@ def make_state(
     entity_matrix: Optional[Tensor],
     relation_matrix: Optional[Tensor],
     aux: Tuple[Tensor, ...] = (),
+    int_aux: Tuple[np.ndarray, ...] = (),
 ) -> EncoderState:
-    """Build a split-model state, stamping model version and dtype."""
+    """Build a model's state, stamping model version and dtype."""
     return EncoderState(
         entity_matrix=entity_matrix,
         relation_matrix=relation_matrix,
         aux=tuple(aux),
-        model_version=getattr(model, "version", 0),
+        model_version=model.version,
         dtype=str(get_default_dtype()),
         prediction_time=int(window.prediction_time),
-    )
-
-
-def make_fused_state(model, window: HistoryWindow) -> EncoderState:
-    """Fallback shim for models that cannot split encode from decode."""
-    return EncoderState(
-        entity_matrix=None,
-        relation_matrix=None,
-        model_version=getattr(model, "version", 0),
-        dtype=str(get_default_dtype()),
-        prediction_time=int(window.prediction_time),
-        window=window,
-        fused=True,
+        int_aux=tuple(int_aux),
     )
 
 
@@ -251,7 +231,7 @@ class EncoderStateCache:
 
     # ------------------------------------------------------------------
     def _key(self, model, model_key: str, fingerprint: Hashable) -> Hashable:
-        return (model_key, getattr(model, "version", 0), str(get_default_dtype()), fingerprint)
+        return (model_key, model.version, str(get_default_dtype()), fingerprint)
 
     def _cache_get(self, key: Hashable) -> Optional[EncoderState]:
         """In-memory lookup; a hit refreshes recency and counts."""
@@ -265,8 +245,8 @@ class EncoderStateCache:
         return state
 
     def _cache_put(self, key: Hashable, state: EncoderState) -> None:
-        """Insert a cacheable state, evicting LRU entries past capacity."""
-        if not state.cacheable or self.capacity <= 0:
+        """Insert a state, evicting LRU entries past capacity."""
+        if self.capacity <= 0:
             return
         with self._lock:
             self._data[key] = state
@@ -279,7 +259,7 @@ class EncoderStateCache:
     def _encode_live(self, model, window: HistoryWindow, fingerprint: Hashable) -> EncoderState:
         """One real encode (eval + no-grad), stamped with the fingerprint."""
         with span("encoder.encode", owner=self.owner):
-            with _inference(model):
+            with model.inference_mode():
                 state = model.encode(window)
         return replace(state, fingerprint=fingerprint)
 
@@ -337,26 +317,15 @@ class EncoderStateCache:
         }
 
 
-def _inference(model):
-    """The model's inference_mode, or plain no-grad for duck-typed models."""
-    mode = getattr(model, "inference_mode", None)
-    if mode is not None:
-        return mode()
-    from repro.nn.tensor import no_grad
-
-    return no_grad()
-
-
 class ExecutionPlan:
     """The single window -> scores code path shared by every consumer.
 
     Args:
         model: anything implementing the encode/decode protocol
             (:class:`repro.core.hisres.HisRES`, every
-            :class:`repro.baselines.base.TKGBaseline`), or — as a
-            legacy escape hatch — any object with ``predict_entities``.
+            :class:`repro.baselines.base.TKGBaseline`).
         cache: optional :class:`EncoderStateCache`; None always
-            encodes live (the pre-refactor fused behaviour).
+            encodes live.
         model_key: cache-key namespace (registry key in serving).
     """
 
@@ -365,27 +334,19 @@ class ExecutionPlan:
         self.cache = cache
         self.model_key = model_key or type(model).__name__.lower()
 
-    @property
-    def supports_split(self) -> bool:
-        return bool(getattr(self.model, "supports_encode_split", False)) and hasattr(
-            self.model, "encode"
-        )
-
     # ------------------------------------------------------------------
     def encode(self, window: HistoryWindow) -> EncoderState:
         """Encode ``window`` through the cache (eval + no-grad)."""
-        if self.cache is not None and self.supports_split:
+        if self.cache is not None:
             return self.cache.get_or_encode(self.model, window, model_key=self.model_key)
         with span("encoder.encode", owner=self.model_key):
-            with _inference(self.model):
+            with self.model.inference_mode():
                 return self.model.encode(window)
 
     def entity_scores(self, window: HistoryWindow, queries: np.ndarray) -> np.ndarray:
         """Entity score matrix (n, |E|) as a plain array."""
-        if not hasattr(self.model, "encode"):  # legacy duck-typed models
-            return np.asarray(self.model.predict_entities(window, queries))
         state = self.encode(window)
-        with _inference(self.model):
+        with self.model.inference_mode():
             return self.model.decode(state, queries).data
 
     def entity_scores_range(
@@ -401,12 +362,10 @@ class ExecutionPlan:
 
         Models that can restrict their final candidate matmul override
         ``decode_entity_range`` (tile-grid walk, see
-        :func:`candidate_scores_range`); everything else — including
-        fused vocabulary models — computes the full decode and slices,
-        which is range-consistent by construction.
+        :func:`candidate_scores_range`); everything else computes the
+        full decode and slices, which is range-consistent by
+        construction.
         """
-        if not hasattr(self.model, "encode"):  # legacy duck-typed models
-            return np.asarray(self.model.predict_entities(window, queries))[:, lo:hi]
         state = self.encode(window)
         return self.decode_block(state, queries, lo, hi)
 
@@ -424,27 +383,21 @@ class ExecutionPlan:
         :func:`candidate_scores_range`), so blocking changes the call
         count, never the numbers.
         """
-        with _inference(self.model):
-            decode_range = getattr(self.model, "decode_entity_range", None)
-            if decode_range is not None and not state.fused:
-                return np.asarray(decode_range(state, queries, lo, hi))
-            return np.asarray(self.model.decode(state, queries).data)[:, lo:hi]
+        with self.model.inference_mode():
+            return np.asarray(self.model.decode_entity_range(state, queries, lo, hi))
 
     def decode_relations_block(
         self, state: EncoderState, queries: np.ndarray
     ) -> Optional[np.ndarray]:
         """Relation logits for a grouped query block (None if undecodable)."""
-        decode_relations = getattr(self.model, "decode_relations", None)
-        if decode_relations is None:
-            return None
-        with _inference(self.model):
-            logits = decode_relations(state, queries)
+        with self.model.inference_mode():
+            logits = self.model.decode_relations(state, queries)
         return None if logits is None else np.asarray(logits.data)
 
     def relation_scores(self, window: HistoryWindow, queries: np.ndarray) -> np.ndarray:
         """Relation score matrix (n, 2|R|) for joint models."""
         state = self.encode(window)
-        with _inference(self.model):
+        with self.model.inference_mode():
             logits = self.model.decode_relations(state, queries)
         if logits is None:
             raise TypeError(
@@ -458,7 +411,7 @@ class ExecutionPlan:
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Both rankings from ONE encoder state (the evaluator hot path)."""
         state = self.encode(window)
-        with _inference(self.model):
+        with self.model.inference_mode():
             entity = self.model.decode(state, queries).data
             relation_logits = self.model.decode_relations(state, queries)
             relation = None if relation_logits is None else relation_logits.data
@@ -471,7 +424,6 @@ class ExecutionPlan:
     def stats(self) -> Dict[str, Any]:
         return {
             "model_key": self.model_key,
-            "supports_split": self.supports_split,
             "state_cache": None if self.cache is None else self.cache.stats(),
         }
 
@@ -516,8 +468,9 @@ class ScopedExecutionPlan:
       (window content, seeds, fanout spec, sampler seed), so the same
       seed yields bitwise-identical scoped scores across runs.
 
-    Models that cannot split encode from decode (fused vocabulary
-    models) pass through to the full plan untouched.
+    Models that do not read window graphs through ``scope_entities``
+    (vocabulary and subgraph-walk baselines, static embedders) pass
+    through to the full plan untouched.
     """
 
     def __init__(self, plan: ExecutionPlan, sampler, include_targets: bool = True):
@@ -533,9 +486,7 @@ class ScopedExecutionPlan:
 
     @property
     def supports_scoping(self) -> bool:
-        return self.plan.supports_split and bool(
-            getattr(self.model, "supports_query_scoping", False)
-        )
+        return self.model.supports_query_scoping
 
     # ------------------------------------------------------------------
     def _seeds(self, queries: np.ndarray, for_loss: bool = False) -> np.ndarray:
@@ -591,16 +542,16 @@ class ScopedExecutionPlan:
             state = cache.get_or_encode(self.model, induced, model_key=self.plan.model_key)
         else:
             with span("encoder.encode", owner=f"{self.plan.model_key}.scoped"):
-                with _inference(self.model):
+                with self.model.inference_mode():
                     state = self.model.encode(induced)
-        with _inference(self.model):
+        with self.model.inference_mode():
             return self._scatter_state(state, induced)
 
     def entity_scores(self, window: HistoryWindow, queries: np.ndarray) -> np.ndarray:
         if not self.supports_scoping:
             return self.plan.entity_scores(window, queries)
         state = self.encode(window, queries)
-        with _inference(self.model):
+        with self.model.inference_mode():
             return self.model.decode(state, queries).data
 
     def entity_scores_range(
@@ -628,7 +579,7 @@ class ScopedExecutionPlan:
         if not self.supports_scoping:
             return self.plan.relation_scores(window, queries)
         state = self.encode(window, queries)
-        with _inference(self.model):
+        with self.model.inference_mode():
             logits = self.model.decode_relations(state, queries)
         if logits is None:
             raise TypeError(
@@ -687,9 +638,7 @@ class TimelineStep:
     payload: Any = None
 
 
-def group_steps(
-    steps: Iterable[TimelineStep], groupable: bool = True
-) -> Iterator[List[TimelineStep]]:
+def group_steps(steps: Iterable[TimelineStep]) -> Iterator[List[TimelineStep]]:
     """Yield **maximal** runs of consecutive fingerprint-equal steps.
 
     Two invariants (property-tested in
@@ -699,16 +648,12 @@ def group_steps(
       the group's first step — a group never spans a window change;
     - groups are maximal: adjacent groups always differ in fingerprint,
       so no two neighbouring groups could have been merged.
-
-    With ``groupable=False`` every step becomes its own group (fused
-    models, whose decode consumes per-query window inputs, and legacy
-    duck-typed models take this path so their behaviour is untouched).
     """
     current: List[TimelineStep] = []
     current_fp: Optional[Hashable] = None
     for step in steps:
-        fingerprint = step.window.fingerprint() if groupable else None
-        if current and (not groupable or fingerprint != current_fp):
+        fingerprint = step.window.fingerprint()
+        if current and fingerprint != current_fp:
             yield current
             current = []
         current.append(step)
@@ -764,12 +709,6 @@ class TimelineBatcher:
     def model(self):
         return self.base_plan.model
 
-    @property
-    def groupable(self) -> bool:
-        """Only split models group: their frozen states decode any
-        query block, while fused/legacy decodes stay per-step."""
-        return self.base_plan.supports_split
-
     # ------------------------------------------------------------------
     def run(
         self,
@@ -793,7 +732,7 @@ class TimelineBatcher:
         hi = self.num_entities if hi is None else int(hi)
         stats = {"steps": 0, "groups": 0, "queries": 0, "max_group_size": 0}
         self.last_stats = stats
-        for group in group_steps(steps, groupable=self.groupable):
+        for group in group_steps(steps):
             size = len(group)
             stats["groups"] += 1
             stats["steps"] += size
@@ -818,16 +757,6 @@ class TimelineBatcher:
         lo: int,
         hi: Optional[int],
     ) -> Iterator[Tuple[TimelineStep, Optional[np.ndarray], Optional[np.ndarray]]]:
-        model = self.model
-        if not hasattr(model, "encode"):
-            # legacy duck-typed models: fused per-step scoring, original path
-            for step in group:
-                entity_rows = None
-                if entities:
-                    scores = self.base_plan.entity_scores(step.window, step.queries)
-                    entity_rows = scores if hi is None else scores[:, lo:hi]
-                yield step, entity_rows, None
-            return
         if hi is None:
             raise ValueError("TimelineBatcher needs num_entities (or an explicit hi)")
         window = group[0].window

@@ -41,7 +41,6 @@ class HisRES(Module):
         config: hyper-parameters and ablation switches.
     """
 
-    supports_encode_split = True
     supports_query_scoping = True
 
     def __init__(self, num_entities: int, num_relations: int, config: Optional[HisRESConfig] = None):

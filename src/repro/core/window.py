@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graphs.global_graph import GlobalGraphBuilder
-from repro.graphs.history import HistoryVocabulary
+from repro.graphs.history import HistoryVocabulary, VocabularyIndex
 from repro.graphs.merge import merge_snapshots
 from repro.graphs.snapshot import SnapshotGraph, build_snapshot, stable_array_digest
 from repro.obs.metrics import get_registry
@@ -61,11 +61,11 @@ class HistoryWindow:
         merged: merged inter-snapshot graphs (sliding windows).
         deltas: ``t_pred - t_i`` per snapshot, parallel to ``snapshots``.
         global_graph: G^H_t, or None when the global encoder is off.
-        history_masks: per-query binary (n, |E|) matrix of historically
-            seen objects, or None (consumed by vocabulary baselines:
+        vocabulary: the history vocabulary index over the window's
+            distinct ``(s, r)`` query pairs (see
+            :meth:`~repro.graphs.history.HistoryVocabulary.index`), or
+            None when the builder does not track vocabulary (consumed by
             CyGNet, TiRGN, CENET).
-        history_counts: per-query (n, |E|) historical frequency matrix,
-            or None.
         prediction_time: the timestamp being predicted.
         local_nodes: sorted global entity ids when this window is an
             induced subgraph produced by :mod:`repro.graphs.sampler`
@@ -80,8 +80,7 @@ class HistoryWindow:
     deltas: List[float]
     global_graph: Optional[SnapshotGraph]
     prediction_time: int
-    history_masks: Optional[np.ndarray] = None
-    history_counts: Optional[np.ndarray] = None
+    vocabulary: Optional[VocabularyIndex] = None
     local_nodes: Optional[np.ndarray] = None
     _fingerprint: Optional[tuple] = field(default=None, repr=False, compare=False)
 
@@ -119,10 +118,11 @@ class HistoryWindow:
         pairs*, so windows assembled for different query sets generally
         fingerprint differently — unless their G^H content coincides
         (e.g. pairs with no indexed history yield the same empty
-        graph), which is exactly when sharing an encode is sound.
-        History masks/counts are per-query decode inputs consumed only
-        by fused (vocabulary) models, whose states bypass the cache, so
-        they are deliberately excluded.  Memoized per window instance;
+        graph), which is exactly when sharing an encode is sound.  The
+        vocabulary index is scoped to the query pairs the same way and
+        is covered by content, so a vocabulary-only change (same graphs,
+        different history behind the pairs) changes the fingerprint.
+        Memoized per window instance;
         the per-graph content fingerprints are memoized per graph, so
         replayed timelines (which reuse cached graph instances) pay the
         hashing once.
@@ -136,6 +136,9 @@ class HistoryWindow:
                 None
                 if self.local_nodes is None
                 else (int(len(self.local_nodes)), stable_array_digest(self.local_nodes)),
+                None
+                if self.vocabulary is None
+                else tuple((len(a), stable_array_digest(a)) for a in self.vocabulary),
             )
         return self._fingerprint
 
@@ -274,19 +277,17 @@ class WindowBuilder:
                 self._cache_counters["global_builds"].inc()
             else:
                 self._cache_counters["global_hits"].inc()
-        masks = counts = None
+        vocabulary = None
         if self._vocab is not None:
             queries = np.asarray(queries, dtype=np.int64)
-            masks = self._vocab.seen_mask(queries[:, 0], queries[:, 1])
-            counts = self._vocab.count_matrix(queries[:, 0], queries[:, 1])
+            vocabulary = self._vocab.index(queries[:, 0], queries[:, 1])
         return HistoryWindow(
             snapshots=snapshots,
             merged=merged,
             deltas=deltas,
             global_graph=global_graph,
             prediction_time=prediction_time,
-            history_masks=masks,
-            history_counts=counts,
+            vocabulary=vocabulary,
         )
 
     def _merged_windows(self) -> List[SnapshotGraph]:

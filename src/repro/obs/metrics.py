@@ -148,6 +148,24 @@ class Gauge:
         return self._value
 
 
+def percentile(samples: Sequence[float], q: float, presorted: bool = False) -> float:
+    """Nearest-rank percentile of a sample list (q in [0, 100]).
+
+    Uses the classic nearest-rank definition ``rank = ceil(q/100 * n)``
+    (1-based), with ``q <= 0`` mapping to the minimum and ``q > 100``
+    clamped to the maximum; an empty list reports 0.0.  Callers reading
+    several percentiles of one sample sort once and pass
+    ``presorted=True``.
+    """
+    if not samples:
+        return 0.0
+    ordered = samples if presorted else sorted(samples)
+    if q <= 0:
+        return float(ordered[0])
+    rank = math.ceil(min(float(q), 100.0) / 100.0 * len(ordered))
+    return float(ordered[min(rank, len(ordered)) - 1])
+
+
 class Histogram:
     """Cumulative-bucket histogram plus a bounded ring of raw samples.
 
@@ -221,14 +239,7 @@ class Histogram:
 
     def percentile(self, q: float) -> float:
         """Nearest-rank percentile over the recent-sample ring."""
-        samples = self.samples()
-        if not samples:
-            return 0.0
-        ordered = sorted(samples)
-        if q <= 0:
-            return ordered[0]
-        rank = math.ceil(min(q, 100.0) / 100.0 * len(ordered))
-        return ordered[min(rank, len(ordered)) - 1]
+        return percentile(self.samples(), q)
 
     def cumulative_counts(self) -> List[int]:
         with self._lock:
@@ -249,13 +260,14 @@ class Histogram:
     def snapshot(self) -> Dict[str, object]:
         samples = self.samples()
         mean = sum(samples) / len(samples) if samples else 0.0
+        ordered = sorted(samples)
         return {
             "count": self._count,
             "sum": self._sum,
             "recent_mean": mean,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
+            "p50": percentile(ordered, 50, presorted=True),
+            "p95": percentile(ordered, 95, presorted=True),
+            "p99": percentile(ordered, 99, presorted=True),
             "buckets": dict(zip(map(_format_value, self._bounds), self.cumulative_counts())),
         }
 

@@ -48,11 +48,12 @@ from repro.serving.store import OnlineHistoryStore
 class _BatchItem:
     """One in-flight query inside the micro-batcher."""
 
-    __slots__ = ("pair", "scores", "error", "ready")
+    __slots__ = ("pair", "scores", "info", "error", "ready")
 
     def __init__(self, pair: Tuple[int, int]):
         self.pair = pair
         self.scores: Optional[np.ndarray] = None
+        self.info: Optional[Dict[str, object]] = None
         self.error: Optional[BaseException] = None
         self.ready = False
 
@@ -62,9 +63,11 @@ class MicroBatcher:
 
     The first thread to find no active leader becomes the leader: it
     waits ``window_s`` for followers to enqueue, drains the queue, and
-    runs ``execute(pairs) -> {pair: scores}`` once for the whole batch.
-    Followers block until their item is published (or a new leader
-    election picks them up).
+    runs ``execute(pairs) -> ({pair: scores}, info)`` once for the whole
+    batch.  Followers block until their item is published (or a new
+    leader election picks them up).  :meth:`submit` returns the item's
+    ``(scores, info)``, so every caller sees the info of the batch that
+    actually answered it.
     """
 
     def __init__(self, execute, window_s: float = 0.002, max_batch: int = 1024):
@@ -78,7 +81,7 @@ class MicroBatcher:
         self.batched_queries = 0
         self.max_batch_size = 0
 
-    def submit(self, pair: Tuple[int, int]) -> np.ndarray:
+    def submit(self, pair: Tuple[int, int]) -> Tuple[np.ndarray, Dict[str, object]]:
         item = _BatchItem(pair)
         with self._cv:
             self._queue.append(item)
@@ -87,7 +90,7 @@ class MicroBatcher:
             if item.ready:
                 if item.error is not None:
                     raise item.error
-                return item.scores
+                return item.scores, item.info
             self._leader_active = True
         # --- leader path (lock released so followers can enqueue) ---
         if self.window_s > 0:
@@ -95,9 +98,10 @@ class MicroBatcher:
         with self._cv:
             batch, self._queue = self._queue[: self.max_batch], self._queue[self.max_batch :]
         try:
-            results = self._execute([b.pair for b in batch])
+            results, info = self._execute([b.pair for b in batch])
             for b in batch:
                 b.scores = results[b.pair]
+                b.info = info
                 b.ready = True
         except BaseException as exc:  # propagate to every waiter
             for b in batch:
@@ -112,7 +116,7 @@ class MicroBatcher:
                 self._cv.notify_all()
         if item.error is not None:
             raise item.error
-        return item.scores
+        return item.scores, item.info
 
     def stats(self) -> Dict[str, object]:
         mean = self.batched_queries / self.batches if self.batches else 0.0
@@ -129,7 +133,9 @@ class InferenceEngine:
     """Serve top-k object predictions for ``(s, r, ?, t)`` queries.
 
     Args:
-        model: any model exposing ``predict_entities(window, queries)``.
+        model: any model speaking the encode/decode protocol
+            (:class:`~repro.core.hisres.HisRES`, every registered
+            baseline).
         store: the online history state (shared with ingestion).
         model_key: registry key, used in cache keys and ``/stats``.
         cache_entries: per-pair prediction LRU capacity (0 disables).
@@ -182,8 +188,9 @@ class InferenceEngine:
             candidate = ScopedExecutionPlan(
                 self.plan, NeighborSampler(scoped_cold_start, owner="serving")
             )
-            # fused models and static embedders can't scope; leave None
-            # so the cold-miss branch never triggers for them
+            # models that don't read graphs through scope_entities
+            # can't scope; leave None so the cold-miss branch never
+            # triggers for them
             if candidate.supports_scoping and self.state_cache is not None:
                 self.scoped_plan = candidate
         # all decodes (request path, warm refresh, hot-pair refresh) run
@@ -212,15 +219,13 @@ class InferenceEngine:
         self._warming: set = set()
         self._warm_threads: List[threading.Thread] = []
         self._batcher = MicroBatcher(self._execute_batch, window_s=batch_window_s)
-        # best-effort "how was the most recent batch answered" snapshot
-        # for the audit plane; written under the batcher's execution,
-        # read without a lock (a dict replace is atomic in CPython)
-        self.last_batch_info: Optional[Dict[str, object]] = None
+        # "how was this request's batch answered", per request thread,
+        # for the audit plane (see last_batch_info)
+        self._per_thread = threading.local()
         self._model_lock = threading.Lock()
         self._predict_calls = 0
         self._queries_served = 0
-        if hasattr(self.model, "eval"):
-            self.model.eval()
+        self.model.eval()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -311,12 +316,27 @@ class InferenceEngine:
         invalidates stale score vectors even when the history window —
         and therefore ``window_version`` — has not moved.
         """
-        return (self.model_key, getattr(self.model, "version", 0)) + pair + (version,)
+        return (self.model_key, self.model.version) + pair + (version,)
+
+    @property
+    def last_batch_info(self) -> Optional[Dict[str, object]]:
+        """How the calling thread's most recent request was answered.
+
+        Each HTTP request runs on its own handler thread, and the info is
+        the one carried out of the micro-batcher on that request's own
+        item, so concurrent requests landing in different batches each
+        record their own ``encode_mode``.
+        """
+        return getattr(self._per_thread, "batch_info", None)
 
     def _execute_batch(
         self, pairs: Sequence[Tuple[int, int]]
-    ) -> Dict[Tuple[int, int], np.ndarray]:
-        """One forward pass for every distinct uncached (s, r) pair."""
+    ) -> Tuple[Dict[Tuple[int, int], np.ndarray], Dict[str, object]]:
+        """One forward pass for every distinct uncached (s, r) pair.
+
+        Returns the per-pair scores and the batch's info (encode mode,
+        batch size, prediction-cache misses).
+        """
         version = self.store.window_version
         results: Dict[Tuple[int, int], np.ndarray] = {}
         todo: List[Tuple[int, int]] = []
@@ -355,11 +375,6 @@ class InferenceEngine:
             mode = "scoped" if scoped else "full"
             self._encode_counters[mode].inc()
             self._encode_mode_counts[mode] += 1
-            self.last_batch_info = {
-                "encode_mode": mode,
-                "batch": len(pairs),
-                "cache_misses": len(todo),
-            }
             for i, pair in enumerate(todo):
                 results[pair] = scores[i]
                 if not scoped:
@@ -370,12 +385,8 @@ class InferenceEngine:
             if scoped:
                 self._spawn_warmup(window, pairs=todo, version=version)
         else:
-            self.last_batch_info = {
-                "encode_mode": "cached",
-                "batch": len(pairs),
-                "cache_misses": 0,
-            }
-        return results
+            mode = "cached"
+        return results, {"encode_mode": mode, "batch": len(pairs), "cache_misses": len(todo)}
 
     # ------------------------------------------------------------------
     def _blocked_scores(
@@ -459,11 +470,10 @@ class InferenceEngine:
         """
         with self._model_lock:
             load_checkpoint(self.model, path)
-            if hasattr(self.model, "eval"):
-                self.model.eval()
+            self.model.eval()
             return {
                 "reloaded": path,
-                "model_version": getattr(self.model, "version", 0),
+                "model_version": self.model.version,
             }
 
     def refresh_hot_pairs(self, limit: int = 256) -> Dict[str, object]:
@@ -511,7 +521,8 @@ class InferenceEngine:
         """Full score vector over entities (cache + micro-batch path)."""
         pair = self._checked_pair(subject, relation, inverse)
         self._queries_served += 1
-        return self._batcher.submit(pair)
+        scores, self._per_thread.batch_info = self._batcher.submit(pair)
+        return scores
 
     def predict(
         self,
@@ -533,7 +544,7 @@ class InferenceEngine:
 
         Each query: ``{"subject": s, "relation": r, "top_k"?: k,
         "inverse"?: bool}``.  The whole list is deduplicated and scored
-        in a single ``predict_entities`` call (modulo cache hits).
+        in a single batched decode (modulo cache hits).
         """
         parsed = [
             (
@@ -544,7 +555,8 @@ class InferenceEngine:
             for q in queries
         ]
         self._queries_served += len(parsed)
-        score_map = self._execute_batch([pair for pair, _, _ in parsed])
+        pairs = [pair for pair, _, _ in parsed]
+        score_map, self._per_thread.batch_info = self._execute_batch(pairs)
         return [
             {
                 "subject": int(q["subject"]),

@@ -135,7 +135,9 @@ class ShardEngine(InferenceEngine):
         self._queries_served += len(parsed)
         started = time.perf_counter()
         with span("shard.decode", shard=self.shard.index, batch=len(parsed)):
-            score_map = self._execute_batch([pair for pair, _ in parsed])
+            score_map, self._per_thread.batch_info = self._execute_batch(
+                [pair for pair, _ in parsed]
+            )
             rows = []
             for pair, k in parsed:
                 ids, values = topk_ranked(score_map[pair], k, base=self.shard.lo)

@@ -125,6 +125,7 @@ class SharedEncoderStateStore:
         aux = tuple(
             Tensor(arrays[f"aux{i}"]) for i in range(int(meta.get("aux_count", 0)))
         )
+        int_aux = tuple(arrays[f"int_aux{i}"] for i in range(int(meta.get("int_aux_count", 0))))
         fingerprint = key[-1] if isinstance(key, tuple) and key else None
         return EncoderState(
             entity_matrix=entity,
@@ -134,12 +135,11 @@ class SharedEncoderStateStore:
             model_version=int(meta.get("model_version", 0)),
             dtype=str(meta.get("dtype", "float64")),
             prediction_time=int(meta.get("prediction_time", 0)),
+            int_aux=int_aux,
         )
 
     def store(self, key: Hashable, state: EncoderState) -> bool:
-        """Atomically publish ``state`` under ``key``; False if not storable."""
-        if not state.cacheable:
-            return False  # fused states carry windows; not serializable
+        """Atomically publish ``state`` under ``key``; False on I/O failure."""
         arrays: Dict[str, np.ndarray] = {}
         if state.entity_matrix is not None:
             arrays["entity"] = np.asarray(state.entity_matrix.data)
@@ -147,12 +147,15 @@ class SharedEncoderStateStore:
             arrays["relation"] = np.asarray(state.relation_matrix.data)
         for i, tensor in enumerate(state.aux):
             arrays[f"aux{i}"] = np.asarray(tensor.data)
+        for i, array in enumerate(state.int_aux):
+            arrays[f"int_aux{i}"] = np.asarray(array, dtype=np.int64)
         meta = {
             "key_repr": repr(key),
             "model_version": int(state.model_version),
             "dtype": str(state.dtype),
             "prediction_time": int(state.prediction_time),
             "aux_count": len(state.aux),
+            "int_aux_count": len(state.int_aux),
         }
         arrays[_META_KEY] = np.frombuffer(
             json.dumps(meta).encode("utf-8"), dtype=np.uint8

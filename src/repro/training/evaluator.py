@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import logging
 import time
-import warnings
 from collections import defaultdict
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -53,8 +52,7 @@ def build_time_filter(
 class TimelineEvaluator:
     """Walks the timeline and scores a model with time-filtered metrics.
 
-    Works with any model speaking the encode/decode protocol (or, as a
-    fallback, exposing ``predict_entities(window, queries)``) and relies
+    Works with any model speaking the encode/decode protocol and relies
     on a :class:`repro.core.window.WindowBuilder` (owned by the trainer)
     for history assembly.
 
@@ -301,17 +299,3 @@ class TimelineEvaluator:
         # reuse filtered_ranks by viewing queries as (s, o, r)
         view = queries[:, [0, 2, 1]]
         return filtered_ranks(scores, view, rel_filter)
-
-
-def __getattr__(name: str):
-    # Deprecated pre-refactor alias; kept one more release so external
-    # callers get a warning instead of an ImportError.
-    if name == "Evaluator":
-        warnings.warn(
-            "repro.training.evaluator.Evaluator is deprecated; "
-            "use TimelineEvaluator instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return TimelineEvaluator
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -46,8 +46,8 @@ class TrainResult:
 class Trainer:
     """Fits any window-consuming TKG model on a dataset.
 
-    The model must expose ``loss(window, queries) -> Tensor``,
-    ``predict_entities(window, queries) -> np.ndarray``,
+    The model must speak the encode/decode protocol (see
+    :mod:`repro.core.execution`) and expose ``loss(window, queries)``,
     ``parameters()``, ``train()``/``eval()``, and ``zero_grad()``.
     """
 
@@ -226,7 +226,7 @@ class Trainer:
         if grad_norms:
             self._gauge_grad_norm.set(float(np.mean(grad_norms)))
         self._epoch_index += 1
-        if losses and hasattr(self.model, "bump_version"):
+        if losses:
             # weights moved in place: invalidate cached encoder states
             self.model.bump_version()
         return float(np.mean(losses)) if losses else 0.0

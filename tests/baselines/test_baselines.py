@@ -20,6 +20,7 @@ from repro.baselines import (
     build_model,
 )
 from repro.core.window import WindowBuilder
+from repro.graphs.history import vocabulary_mask
 
 E, R = 12, 4
 
@@ -139,7 +140,7 @@ class TestVocabularyModels:
         m.eval()
         window, queries = _window()
         scores = m.predict_entities(window, queries)
-        mask = window.history_masks
+        mask = vocabulary_mask(window.vocabulary, queries[:, 0], queries[:, 1], E)
         # with pure copy mode, any seen candidate outranks all unseen ones
         for i in range(len(queries)):
             seen = np.flatnonzero(mask[i])

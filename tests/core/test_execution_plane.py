@@ -5,12 +5,13 @@ The acceptance-critical properties live here:
 - exactly one live encode per distinct (timestamp, window fingerprint),
   asserted through the cache counters;
 - the cached-state decode path is *bitwise* identical (float64) to the
-  fused ``forward`` / ``predict_entities`` path, across the evaluator
-  two-phase route and the serving micro-batch route;
+  live ``forward`` / ``predict_entities`` path for every registered
+  model, across the evaluator two-phase route and the serving
+  micro-batch route;
 - cache keys include model version and dtype, so weight updates and
   dtype switches can never resurrect stale states;
-- fused models (vocabulary masks, per-query subgraphs) flow through the
-  same plan without ever polluting the cache.
+- vocabulary models cache like any other model, and their states only
+  decode the query pairs their window's vocabulary index covers.
 """
 
 import numpy as np
@@ -19,12 +20,7 @@ import pytest
 from repro.baselines import MODEL_REGISTRY, build_model
 from repro.core import HisRES, HisRESConfig
 from repro.core.config import WindowConfig
-from repro.core.execution import (
-    EncoderState,
-    EncoderStateCache,
-    ExecutionPlan,
-    make_fused_state,
-)
+from repro.core.execution import EncoderState, EncoderStateCache, ExecutionPlan
 from repro.core.window import WindowBuilder
 from repro.training import TimelineEvaluator
 
@@ -114,20 +110,40 @@ class TestEncoderStateCache:
         plan.entity_scores(window, queries)
         assert cache.misses == 2 and len(cache) == 0
 
-    def test_fused_states_never_cached(self):
+    def test_vocabulary_only_change_misses(self):
+        """Same graphs, different history behind the query pairs: the
+        vocabulary index is in the fingerprint, so the cache misses."""
         model = build_model("cygnet", E, R, dim=8)
-        assert not model.supports_encode_split
         cache = EncoderStateCache(capacity=4, owner="test")
         plan = ExecutionPlan(model, cache=cache)
+        queries = np.array([[0, 1, 2, 2], [3, 2, 4, 2]], dtype=np.int64)
+        latest = np.array([[6, 0, 7, 1], [8, 3, 9, 1]], dtype=np.int64)
+        windows = []
+        for older in ([[10, 4, 11, 0]], [[0, 1, 5, 0]]):  # only the 2nd is seen by (0, 1)
+            builder = WindowBuilder(E, R, history_length=1, use_global=False,
+                                    track_vocabulary=True)
+            builder.absorb(np.array(older, dtype=np.int64))
+            builder.absorb(latest)  # the one-snapshot window is identical
+            windows.append(builder.window_for(queries, prediction_time=2))
+        quiet, busy = windows
+        assert [g.content_fingerprint() for g in quiet.snapshots] == [
+            g.content_fingerprint() for g in busy.snapshots
+        ]
+        assert quiet.fingerprint() != busy.fingerprint()
+        plan.entity_scores(quiet, queries)
+        plan.entity_scores(busy, queries)
+        assert cache.misses == 2 and cache.hits == 0
+
+    def test_decoding_pair_outside_vocabulary_index_raises(self):
+        model = build_model("tirgn", E, R, dim=8)
         builder = WindowBuilder(E, R, history_length=2, use_global=False,
                                 track_vocabulary=True)
         window, queries, _ = _window(builder=builder)
-        scores = plan.entity_scores(window, queries)
-        assert scores.shape == (3, E)
-        # the plan bypasses the cache entirely for fused models
-        assert cache.misses == 0 and len(cache) == 0
-        fused = model.encode(window)
-        assert fused.fused and not fused.cacheable
+        plan = ExecutionPlan(model, cache=EncoderStateCache(capacity=4, owner="test"))
+        state = plan.encode(window)
+        outsider = np.array([[7, 3, 1, 4]], dtype=np.int64)
+        with pytest.raises(KeyError, match="not in the vocabulary index"):
+            plan.decode_block(state, outsider, 0, E)
 
     def test_stats_and_registry_counters(self):
         from repro.obs.metrics import get_registry
@@ -152,17 +168,10 @@ class TestEncoderStateCache:
         )
 
 
-SPLIT_KEYS = sorted(
-    key
-    for key in MODEL_REGISTRY
-    if getattr(build_model(key, E, R, dim=8), "supports_encode_split", False)
-)
-FUSED_KEYS = sorted(set(MODEL_REGISTRY) - set(SPLIT_KEYS))
-
-
 class TestFloat64Parity:
-    @pytest.mark.parametrize("key", SPLIT_KEYS)
+    @pytest.mark.parametrize("key", sorted(MODEL_REGISTRY))
     def test_cached_decode_matches_fused_forward(self, key):
+        """Cached-state decode == live ``predict_entities``, bitwise."""
         from repro.training import seed_everything
 
         spec = MODEL_REGISTRY[key]
@@ -188,23 +197,30 @@ class TestFloat64Parity:
         plan.entity_scores(window, queries)            # prime the cache
         cached = plan.entity_scores(window, queries)   # decode from cache
         assert plan.cache.hits >= 1
-        np.testing.assert_allclose(cached, fused, atol=1e-9, rtol=0.0)
+        assert np.array_equal(cached, fused)
 
-    @pytest.mark.parametrize("key", FUSED_KEYS)
+    @pytest.mark.parametrize("key", sorted(MODEL_REGISTRY))
     def test_fused_shim_matches_predict_entities(self, key):
+        """A live plan encode + decode == ``predict_entities``, bitwise."""
+        from repro.training import seed_everything
+
         spec = MODEL_REGISTRY[key]
-        model = build_model(key, E, R, dim=8)
-        model.eval()
+        # two identically-initialised instances: HGLS's memory observes
+        # every encoded window
+        seed_everything(7)
+        direct_model = build_model(key, E, R, dim=8)
+        seed_everything(7)
+        plan_model = build_model(key, E, R, dim=8)
         builder = WindowBuilder(
             E, R, history_length=2,
             use_global=spec.requirements.global_graph,
             track_vocabulary=spec.requirements.vocabulary,
         )
         window, queries, _ = _window(builder=builder)
-        direct = np.asarray(model.predict_entities(window, queries))
-        plan = ExecutionPlan(model, cache=EncoderStateCache(capacity=4, owner="parity"))
+        direct = np.asarray(direct_model.predict_entities(window, queries))
+        plan = ExecutionPlan(plan_model, cache=EncoderStateCache(capacity=4, owner="parity"))
         via_plan = plan.entity_scores(window, queries)
-        np.testing.assert_allclose(via_plan, direct, atol=1e-9, rtol=0.0)
+        assert np.array_equal(via_plan, direct)
 
     def test_hisres_two_phase_eval_bitwise(self, tiny_dataset):
         """Evaluator metrics through the plan == fused predict path, bitwise."""
@@ -400,17 +416,6 @@ class TestExecutionPlanContracts:
         with pytest.raises(TypeError, match="relation decoder"):
             plan.relation_scores(window, queries)
 
-    def test_duck_typed_model_fallback(self):
-        class Legacy:
-            def predict_entities(self, window, queries):
-                return np.ones((len(queries), E))
-
-        plan = ExecutionPlan(Legacy())
-        builder = WindowBuilder(E, R, history_length=2, use_global=False)
-        window, queries, _ = _window(builder=builder)
-        assert plan.entity_scores(window, queries).shape == (3, E)
-        assert not plan.supports_split
-
     def test_loss_encodes_live_under_grad(self):
         model = _hisres()
         model.train()
@@ -420,17 +425,6 @@ class TestExecutionPlanContracts:
         loss.backward()
         assert plan.cache.misses == 0  # the loss path never touches the cache
         assert any(p.grad is not None for p in model.parameters())
-
-    def test_evaluator_alias_deprecated(self):
-        import repro.training
-        import repro.training.evaluator as evaluator_module
-
-        with pytest.warns(DeprecationWarning, match="TimelineEvaluator"):
-            alias = evaluator_module.Evaluator
-        assert alias is TimelineEvaluator
-        with pytest.warns(DeprecationWarning, match="TimelineEvaluator"):
-            alias = repro.training.Evaluator
-        assert alias is TimelineEvaluator
 
 
 class TestWindowConfig:
@@ -494,12 +488,4 @@ class TestEncoderStateDataclass:
     def test_frozen(self):
         state = EncoderState(entity_matrix=None, relation_matrix=None)
         with pytest.raises(Exception):
-            state.fused = True
-
-    def test_fused_state_carries_window(self):
-        model = build_model("cygnet", E, R, dim=8)
-        builder = WindowBuilder(E, R, history_length=2, use_global=False,
-                                track_vocabulary=True)
-        window, queries, _ = _window(builder=builder)
-        state = make_fused_state(model, window)
-        assert state.window is window and state.fused
+            state.int_aux = ()

@@ -7,7 +7,7 @@ The acceptance-critical properties:
   maximal — a group never merges across a window-content change, and
   adjacent groups always differ;
 - **bitwise parity**: the grouped blocked decode equals the
-  per-timestamp encode-once path bitwise (float64) for every split
+  per-timestamp encode-once path bitwise (float64) for every registered
   model, entities and relations;
 - **sampled evaluation fence**: an evaluation walk through a
   :class:`ScopedExecutionPlan` with exhaustive fanouts is bitwise-equal
@@ -42,12 +42,6 @@ from repro.training.evaluator import build_time_filter
 from repro.training.metrics import filtered_ranks, summarize_ranks
 
 E, R = 24, 5
-
-SPLIT_KEYS = sorted(
-    key
-    for key in MODEL_REGISTRY
-    if getattr(build_model(key, E, R, dim=8), "supports_encode_split", False)
-)
 
 
 def _quads(rng, t, n=6):
@@ -124,16 +118,9 @@ class TestGroupingProperties:
         ]
         assert [len(g) for g in groups] == expected
 
-    def test_non_groupable_yields_singletons(self):
-        rng = np.random.default_rng(0)
-        builder = WindowBuilder(E, R, history_length=2, use_global=False)
-        steps = _sealed_walk(builder, rng, periods=2, per_seal=3)
-        groups = list(group_steps(steps, groupable=False))
-        assert [len(g) for g in groups] == [1] * len(steps)
-
 
 class TestBlockedDecodeParity:
-    @pytest.mark.parametrize("key", SPLIT_KEYS)
+    @pytest.mark.parametrize("key", sorted(MODEL_REGISTRY))
     def test_blocked_walk_bitwise_equals_per_timestamp(self, key):
         spec = MODEL_REGISTRY[key]
         # two identically-initialised instances so stateful encoders

@@ -102,22 +102,22 @@ class TestVocabularyTracking:
         b.absorb(_quads(0, [(0, 0, 1)]))
         queries = _quads(1, [(0, 0, 2)])
         w = b.window_for(queries, prediction_time=1)
-        assert w.history_masks is not None
-        assert w.history_masks[0, 1] == 1.0
-        assert w.history_counts[0, 1] == 1.0
+        assert w.vocabulary is not None
+        keys, indptr, objects = w.vocabulary
+        assert len(keys) == 1 and objects[indptr[0]:indptr[1]].tolist() == [1]
 
     def test_masks_absent_by_default(self):
         b = _builder()
         b.absorb(_quads(0, [(0, 0, 1)]))
         w = b.window_for(_quads(1, [(0, 0, 1)]), prediction_time=1)
-        assert w.history_masks is None
+        assert w.vocabulary is None
 
     def test_vocabulary_reset(self):
         b = _builder(track_vocabulary=True)
         b.absorb(_quads(0, [(0, 0, 1)]))
         b.reset()
         w = b.window_for(_quads(0, [(0, 0, 2)]), prediction_time=0)
-        assert w.history_masks.sum() == 0
+        assert len(w.vocabulary[0]) == 1 and len(w.vocabulary[2]) == 0
 
 
 class TestGraphCacheCapacity:

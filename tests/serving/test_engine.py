@@ -188,7 +188,7 @@ class TestMicroBatcher:
         engine = InferenceEngine.from_checkpoint(path, batch_window_s=0.1)
         engine.store.warm_up(tiny_dataset.train)
         sequential = {
-            (s, r): engine._execute_batch([(s, r)])[(s, r)]
+            (s, r): engine._execute_batch([(s, r)])[0][(s, r)]
             for s in range(3) for r in range(2)
         }
         engine.cache.clear()

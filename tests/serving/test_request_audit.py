@@ -2,6 +2,7 @@
 
 import json
 import logging
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -171,6 +172,60 @@ class TestDebugRequests:
         status, _, body = _call(served.url + "/debug/requests?slowest=banana")
         assert status == 400
         assert "slowest" in body["error"]
+
+
+def _audit_entries(served, request_ids):
+    """Poll /debug/requests until every id has its entry (handler epilogue)."""
+    deadline = time.monotonic() + 2.0
+    while True:
+        _, _, body = _call(served.url + "/debug/requests")
+        found = {e["request_id"]: e for e in body["entries"] if e["request_id"] in request_ids}
+        if len(found) == len(request_ids) or time.monotonic() > deadline:
+            return found
+        time.sleep(0.01)
+
+
+class TestPerRequestBatchInfo:
+    def test_concurrent_requests_record_their_own_batch(self, served, monkeypatch):
+        """A miss and a prediction-cache hit overlap in time but land in
+        different micro-batches; each audit entry records its own
+        batch's encode mode, not whichever batch ran last."""
+        engine = served.engine
+        miss_pair, hit_pair = (7, 2), (8, 3)
+        engine.predict(*hit_pair)  # warm the hit pair into the prediction cache
+        miss_answered, hit_finished = threading.Event(), threading.Event()
+        real_predict = engine.predict
+
+        def predict(subject, relation, **kwargs):
+            result = real_predict(subject, relation, **kwargs)
+            if (subject, relation) == miss_pair:
+                # hold the miss's handler until the hit's batch has run
+                miss_answered.set()
+                hit_finished.wait(5.0)
+            return result
+
+        monkeypatch.setattr(engine, "predict", predict)
+        miss_id, hit_id = new_request_id(), new_request_id()
+        miss_call = threading.Thread(target=_call, args=(
+            served.url + "/predict",
+            {"subject": miss_pair[0], "relation": miss_pair[1]},
+            {REQUEST_ID_HEADER: miss_id},
+        ))
+        miss_call.start()
+        assert miss_answered.wait(5.0)
+        status, _, _ = _call(
+            served.url + "/predict",
+            payload={"subject": hit_pair[0], "relation": hit_pair[1]},
+            headers={REQUEST_ID_HEADER: hit_id},
+        )
+        hit_finished.set()
+        miss_call.join(5.0)
+        assert status == 200
+        entries = _audit_entries(served, {miss_id, hit_id})
+        assert entries[miss_id]["encode_mode"] == "full"
+        assert entries[hit_id]["encode_mode"] == "cached"
+        assert entries[miss_id]["cache_misses"] == 1
+        assert entries[hit_id]["cache_misses"] == 0
 
 
 class TestAccessLog:

@@ -37,7 +37,6 @@ def model(tiny_dataset):
 class _CountingModel:
     """Wraps a model to count live encodes (split protocol preserved)."""
 
-    supports_encode_split = True
 
     def __init__(self, model):
         self._model = model
@@ -67,6 +66,38 @@ class TestRoundTrip:
         )
         assert loaded.entity_matrix.data.dtype == np.float64
         assert loaded.prediction_time == state.prediction_time
+
+    @pytest.mark.parametrize("key", ["cygnet", "xerte"])
+    def test_int_aux_states_round_trip_bitwise(self, tmp_path, tiny_dataset, key):
+        """Vocabulary-index and walk-edge states survive the tier bitwise
+        and decode to the same scores as the live state."""
+        model = build_model(key, tiny_dataset.num_entities, tiny_dataset.num_relations, dim=8)
+        model.eval()
+        store = OnlineHistoryStore(
+            tiny_dataset.num_entities, tiny_dataset.num_relations,
+            window_config=WindowConfig(history_length=2, use_global=False,
+                                       track_vocabulary=True),
+        )
+        store.warm_up(tiny_dataset.train)
+        queries = np.array([[0, 1, 0, 0], [3, 2, 0, 0], [5, 6, 0, 0]], dtype=np.int64)
+        window = store.window_for(queries)
+        with model.inference_mode():
+            state = model.encode(window)
+        assert state.int_aux
+        tier = SharedEncoderStateStore(str(tmp_path), owner="t")
+        state_key = (key, model.version, "float64", window.fingerprint())
+        assert tier.store(state_key, state)
+        loaded = tier.load(state_key)
+        assert len(loaded.aux) == len(state.aux)
+        assert len(loaded.int_aux) == len(state.int_aux)
+        for ours, theirs in zip(state.aux, loaded.aux):
+            assert np.array_equal(ours.data, theirs.data)
+        for ours, theirs in zip(state.int_aux, loaded.int_aux):
+            assert theirs.dtype == np.int64 and np.array_equal(ours, theirs)
+        with model.inference_mode():
+            live = model.decode(state, queries).data
+            reloaded = model.decode(loaded, queries).data
+        assert np.array_equal(live, reloaded)
 
     def test_load_missing_key(self, tmp_path):
         tier = SharedEncoderStateStore(str(tmp_path), owner="t")

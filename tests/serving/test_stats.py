@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
-from repro.serving.stats import EndpointStats, ServerStats, percentile
+from repro.obs.metrics import MetricsRegistry, percentile
+from repro.serving.stats import EndpointStats, ServerStats
 
 
 class TestPercentile:

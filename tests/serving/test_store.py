@@ -27,10 +27,9 @@ def _windows_equal(a, b):
             va = np.sort(getattr(a.global_graph, field))
             vb = np.sort(getattr(b.global_graph, field))
             np.testing.assert_array_equal(va, vb)
-    for field in ("history_masks", "history_counts"):
-        va, vb = getattr(a, field), getattr(b, field)
-        assert (va is None) == (vb is None)
-        if va is not None:
+    assert (a.vocabulary is None) == (b.vocabulary is None)
+    if a.vocabulary is not None:
+        for va, vb in zip(a.vocabulary, b.vocabulary):
             np.testing.assert_array_equal(va, vb)
 
 

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.data.dataset import TKGDataset
 from repro.graphs.global_graph import GlobalGraphBuilder
-from repro.graphs.history import HistoryVocabulary
+from repro.graphs.history import HistoryVocabulary, vocabulary_mask
 from repro.graphs.snapshot import build_snapshot
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor, concat
@@ -158,18 +158,10 @@ class TestHistoryProperties:
     def test_mask_matches_facts(self, quads):
         vocab = HistoryVocabulary(8, 4)
         vocab.add_snapshot(quads)
-        mask = vocab.seen_mask(quads[:, 0], quads[:, 1])
+        index = vocab.index(quads[:, 0], quads[:, 1])
+        mask = vocabulary_mask(index, quads[:, 0], quads[:, 1], 8)
         # every recorded fact is marked seen for its own query pair
         assert np.all(mask[np.arange(len(quads)), quads[:, 2]] == 1.0)
-
-    @given(quad_arrays(max_time=1))
-    @settings(max_examples=40, deadline=None)
-    def test_counts_upper_bound_mask(self, quads):
-        vocab = HistoryVocabulary(8, 4)
-        vocab.add_snapshot(quads)
-        mask = vocab.seen_mask(quads[:, 0], quads[:, 1])
-        counts = vocab.count_matrix(quads[:, 0], quads[:, 1])
-        assert np.all((counts > 0) == (mask > 0))
 
     @given(quad_arrays(max_time=1))
     @settings(max_examples=40, deadline=None)
