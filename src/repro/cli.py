@@ -35,6 +35,7 @@ ledger (``runs/ledger.jsonl``; ``--ledger PATH`` overrides,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from typing import List, Optional
@@ -640,6 +641,9 @@ def cmd_profile(args) -> int:
     eval_left = int(args.eval_steps)
     train_steps = eval_steps = 0
     prof = OpProfiler()
+    # collect earlier garbage first: a collection it triggers mid-run
+    # would land in whatever glue is running and skew the attribution
+    gc.collect()
     with prof:
         for t, quads in items:
             if train_left <= 0 and eval_left <= 0:

@@ -13,8 +13,9 @@ contract instead of a private detail of each model:
   Every model speaks this protocol, so every state is cacheable.
 - :class:`EncoderStateCache` — LRU over encoder states, keyed on the
   window content fingerprint + model version + dtype, with hit/miss/
-  evict counters on the :mod:`repro.obs` registry and a span around
-  every live encode.
+  evict counters on the :mod:`repro.obs` registry (a
+  :class:`~repro.obs.lru.BoundedLRU`) and a span around every live
+  encode.
 - :class:`ExecutionPlan` — the one code path that turns a window into
   scores.  The evaluator, forecaster, serving engine, and trainer all
   go through a plan; training losses still encode live under grad,
@@ -34,8 +35,6 @@ query-set-dependent, and for the batched-walk grouping invariants.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import (
     Any,
@@ -54,6 +53,7 @@ import numpy as np
 
 from repro.core.window import HistoryWindow
 from repro.nn.tensor import Tensor, concat, get_default_dtype
+from repro.obs.lru import BoundedLRU
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
 
@@ -189,72 +189,22 @@ def make_state(
     )
 
 
-class EncoderStateCache:
+class EncoderStateCache(BoundedLRU):
     """Thread-safe LRU over :class:`EncoderState` instances.
 
     Keys are ``(model_key, model_version, dtype, window fingerprint)``:
     a weight update, a dtype switch, or any change to the window
-    content each make earlier entries unreachable.  Counters live on
-    the process-wide :mod:`repro.obs` registry (scraped by the serving
-    ``/metrics`` endpoint) *and* as plain per-instance integers for
-    ``stats()``.
+    content each make earlier entries unreachable.  A
+    :class:`~repro.obs.lru.BoundedLRU` with ``cache="encoder_state"``,
+    so ``stats()`` and the serving ``/metrics`` endpoint read the same
+    registry series.
     """
 
     def __init__(self, capacity: int = 16, owner: str = "plan"):
-        if capacity < 0:
-            raise ValueError("capacity must be >= 0")
-        self.capacity = int(capacity)
-        self.owner = owner
-        self._data: "OrderedDict[Hashable, EncoderState]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        family = get_registry().counter(
-            "repro_encoder_state_cache_events_total",
-            "Encoder-state cache hits/misses/evictions per owner.",
-            labelnames=("owner", "event"),
-        )
-        self._counters = {
-            event: family.labels(owner=owner, event=event)
-            for event in ("hit", "miss", "evict")
-        }
-        self._gauge_entries = get_registry().gauge(
-            "repro_encoder_state_cache_entries",
-            "Live entries in the encoder-state cache.",
-            labelnames=("owner",),
-        ).labels(owner=owner)
+        super().__init__(capacity, cache="encoder_state", owner=owner)
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    # ------------------------------------------------------------------
     def _key(self, model, model_key: str, fingerprint: Hashable) -> Hashable:
         return (model_key, model.version, str(get_default_dtype()), fingerprint)
-
-    def _cache_get(self, key: Hashable) -> Optional[EncoderState]:
-        """In-memory lookup; a hit refreshes recency and counts."""
-        with self._lock:
-            state = self._data.get(key)
-            if state is not None:
-                self._data.move_to_end(key)
-                self.hits += 1
-        if state is not None:
-            self._counters["hit"].inc()
-        return state
-
-    def _cache_put(self, key: Hashable, state: EncoderState) -> None:
-        """Insert a state, evicting LRU entries past capacity."""
-        if self.capacity <= 0:
-            return
-        with self._lock:
-            self._data[key] = state
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
-                self.evictions += 1
-                self._counters["evict"].inc()
-            self._gauge_entries.set(len(self._data))
 
     def _encode_live(self, model, window: HistoryWindow, fingerprint: Hashable) -> EncoderState:
         """One real encode (eval + no-grad), stamped with the fingerprint."""
@@ -263,7 +213,9 @@ class EncoderStateCache:
                 state = model.encode(window)
         return replace(state, fingerprint=fingerprint)
 
-    def peek(self, model, window: HistoryWindow, model_key: str = "model") -> Optional[EncoderState]:
+    def cached_state(
+        self, model, window: HistoryWindow, model_key: str = "model"
+    ) -> Optional[EncoderState]:
         """Membership probe: the cached state for ``window``, or None.
 
         Unlike :meth:`get_or_encode` this never encodes and never counts
@@ -272,8 +224,7 @@ class EncoderStateCache:
         encode on the request path.  A present state still counts (and
         refreshes) as a hit.
         """
-        key = self._key(model, model_key, window.fingerprint())
-        return self._cache_get(key)
+        return self.peek(self._key(model, model_key, window.fingerprint()))
 
     def get_or_encode(self, model, window: HistoryWindow, model_key: str = "model") -> EncoderState:
         """Return the cached state for ``window`` or run one live encode.
@@ -285,36 +236,11 @@ class EncoderStateCache:
         """
         fingerprint = window.fingerprint()
         key = self._key(model, model_key, fingerprint)
-        state = self._cache_get(key)
-        if state is not None:
-            return state
-        self.misses += 1
-        self._counters["miss"].inc()
-        state = self._encode_live(model, window, fingerprint)
-        self._cache_put(key, state)
+        state = self.get(key)
+        if state is None:
+            state = self._encode_live(model, window, fingerprint)
+            self.put(key, state)
         return state
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-            self._gauge_entries.set(0)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> Dict[str, Any]:
-        with self._lock:
-            size = len(self._data)
-        return {
-            "entries": size,
-            "capacity": self.capacity,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": round(self.hit_rate, 4),
-        }
 
 
 class ExecutionPlan:

@@ -23,8 +23,6 @@ Graph builds are cached at the window level so they are paid once per
 
 from __future__ import annotations
 
-import itertools
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -34,15 +32,7 @@ from repro.graphs.global_graph import GlobalGraphBuilder
 from repro.graphs.history import HistoryVocabulary, VocabularyIndex
 from repro.graphs.merge import merge_snapshots
 from repro.graphs.snapshot import SnapshotGraph, build_snapshot, stable_array_digest
-from repro.obs.metrics import get_registry
-
-# Each builder instance owns one labeled series per (cache, event) pair
-# on the process-wide registry, so ``cache_stats()`` keeps per-instance
-# semantics while ``GET /metrics`` exports the very same counters —
-# one source of truth, no double bookkeeping.
-_BUILDER_IDS = itertools.count()
-_CACHES = ("snapshot", "merged", "global")
-_EVENTS = ("build", "hit")
+from repro.obs.lru import BoundedLRU
 
 
 def _fingerprint(quads: np.ndarray) -> Tuple[int, int, int]:
@@ -186,28 +176,10 @@ class WindowBuilder:
         self._version: int = 0
         self._absorb_count = 0
         # Content-keyed caches; deliberately NOT cleared by reset() so
-        # builds survive epoch boundaries.  LRU-bounded.
-        self._snapshot_cache: "OrderedDict[Tuple, SnapshotGraph]" = OrderedDict()
-        self._merged_cache: "OrderedDict[Tuple, SnapshotGraph]" = OrderedDict()
-        self._global_cache: "OrderedDict[Tuple, SnapshotGraph]" = OrderedDict()
-        family = get_registry().counter(
-            "repro_window_cache_events_total",
-            "Window-level graph cache builds/hits per WindowBuilder.",
-            labelnames=("builder", "cache", "event"),
-        )
-        builder_id = f"wb{next(_BUILDER_IDS)}"
-        self._cache_counters = {
-            f"{cache}_{event}s": family.labels(builder=builder_id, cache=cache, event=event)
-            for cache in _CACHES
-            for event in _EVENTS
-        }
-        entries_family = get_registry().gauge(
-            "repro_window_cache_entries",
-            "Live entries in the window-level graph caches per WindowBuilder.",
-            labelnames=("builder", "cache"),
-        )
-        self._cache_gauges = {
-            cache: entries_family.labels(builder=builder_id, cache=cache) for cache in _CACHES
+        # builds survive epoch boundaries.  A miss is a build.
+        self._caches = {
+            name: BoundedLRU(self.cache_capacity, cache=f"{name}_graph", owner="window")
+            for name in ("snapshot", "merged", "global")
         }
 
     def reset(self) -> None:
@@ -233,28 +205,27 @@ class WindowBuilder:
         return self._version
 
     def cache_stats(self) -> Dict[str, int]:
-        """Build/hit counters of the window-level graph caches.
+        """Build/hit/entry counts of the window-level graph caches.
 
-        Per-instance view over this builder's labeled series on the
-        :mod:`repro.obs` metrics registry (also scraped by /metrics).
+        A view over each cache's own series on the :mod:`repro.obs`
+        metrics registry (also scraped by /metrics).
         """
-        stats = {key: int(counter.value) for key, counter in self._cache_counters.items()}
-        stats.update(
-            {f"{name}_entries": int(gauge.value) for name, gauge in self._cache_gauges.items()}
-        )
+        stats: Dict[str, int] = {}
+        for name, cache in self._caches.items():
+            view = cache.stats()
+            stats[f"{name}_builds"] = view["misses"]
+            stats[f"{name}_hits"] = view["hits"]
+            stats[f"{name}_entries"] = view["entries"]
         return stats
 
-    def _cache_get(self, cache: "OrderedDict", key) -> Optional[SnapshotGraph]:
+    def _cached(self, name: str, key, build) -> SnapshotGraph:
+        """The graph cached under ``key``, building it on a miss."""
+        cache = self._caches[name]
         graph = cache.get(key)
-        if graph is not None:
-            cache.move_to_end(key)
+        if graph is None:
+            graph = build()
+            cache.put(key, graph)
         return graph
-
-    def _cache_put(self, name: str, cache: "OrderedDict", key, graph: SnapshotGraph) -> None:
-        cache[key] = graph
-        while len(cache) > self.cache_capacity:
-            cache.popitem(last=False)
-        self._cache_gauges[name].set(len(cache))
 
     # ------------------------------------------------------------------
     def window_for(self, queries: np.ndarray, prediction_time: int) -> HistoryWindow:
@@ -270,13 +241,9 @@ class WindowBuilder:
         if self.use_global:
             pairs = frozenset((int(q[0]), int(q[1])) for q in queries)
             key = (self._version, pairs, int(prediction_time))
-            global_graph = self._cache_get(self._global_cache, key)
-            if global_graph is None:
-                global_graph = self._global.build(pairs, now=prediction_time)
-                self._cache_put("global", self._global_cache, key, global_graph)
-                self._cache_counters["global_builds"].inc()
-            else:
-                self._cache_counters["global_hits"].inc()
+            global_graph = self._cached(
+                "global", key, lambda: self._global.build(pairs, now=prediction_time)
+            )
         vocabulary = None
         if self._vocab is not None:
             queries = np.asarray(queries, dtype=np.int64)
@@ -307,17 +274,15 @@ class WindowBuilder:
         merged: List[SnapshotGraph] = []
         for span in spans:
             key = tuple(self._recent_fps[i] for i in span)
-            graph = self._cache_get(self._merged_cache, key)
-            if graph is None:
-                graph = merge_snapshots(
+            graph = self._cached(
+                "merged",
+                key,
+                lambda: merge_snapshots(
                     [self._recent_quads[i] for i in span],
                     self.num_entities,
                     self.num_relations,
-                )
-                self._cache_put("merged", self._merged_cache, key, graph)
-                self._cache_counters["merged_builds"].inc()
-            else:
-                self._cache_counters["merged_hits"].inc()
+                ),
+            )
             merged.append(graph)
         return merged
 
@@ -327,13 +292,9 @@ class WindowBuilder:
         if len(quads) == 0:
             return
         fp = _fingerprint(quads)
-        graph = self._cache_get(self._snapshot_cache, fp)
-        if graph is None:
-            graph = build_snapshot(quads, self.num_entities, self.num_relations)
-            self._cache_put("snapshot", self._snapshot_cache, fp, graph)
-            self._cache_counters["snapshot_builds"].inc()
-        else:
-            self._cache_counters["snapshot_hits"].inc()
+        graph = self._cached(
+            "snapshot", fp, lambda: build_snapshot(quads, self.num_entities, self.num_relations)
+        )
         self._absorb_count += 1
         self._version = hash((self._version, fp))
         self._recent_quads.append(quads)

@@ -33,8 +33,6 @@ apply unchanged.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -42,7 +40,7 @@ import numpy as np
 
 from repro.graphs.compiled import compiled
 from repro.graphs.snapshot import SnapshotGraph, stable_array_digest
-from repro.obs.metrics import get_registry
+from repro.obs.lru import BoundedLRU
 
 __all__ = [
     "FanoutSpec",
@@ -305,8 +303,10 @@ class NeighborSampler:
     engine); repeated query batches over the same window content reuse
     the induced graphs — and with them the compiled layouts memoized on
     each induced graph instance.  Events land on the obs registry as
-    ``repro_sampler_events_total{owner,event}`` with
-    ``event in (hit, miss, identity)``.
+    ``repro_cache_events_total{cache="induced_window",owner,instance,event}``
+    with ``event in (hit, miss, identity)``: a lookup that finds nothing
+    counts as ``identity`` when the sampled closure is the whole window,
+    else as ``miss``.
     """
 
     def __init__(
@@ -318,19 +318,8 @@ class NeighborSampler:
     ):
         self.spec = FanoutSpec.parse(fanout)
         self.seed = int(seed)
-        self.cache_entries = int(cache_entries)
         self.owner = owner
-        self._cache: "OrderedDict[Hashable, Tuple]" = OrderedDict()
-        self._lock = threading.Lock()
-        family = get_registry().counter(
-            "repro_sampler_events_total",
-            "Neighbor-sampler induced-window cache events per owner.",
-            labelnames=("owner", "event"),
-        )
-        self._counters = {
-            event: family.labels(owner=owner, event=event)
-            for event in ("hit", "miss", "identity")
-        }
+        self._cache = BoundedLRU(cache_entries, cache="induced_window", owner=owner)
 
     def _key(self, window, seeds: np.ndarray) -> Hashable:
         return (
@@ -345,21 +334,13 @@ class NeighborSampler:
         """(induced window, scope) for a query batch; cached on content."""
         seeds = np.unique(np.asarray(seeds, dtype=np.int64).reshape(-1))
         key = self._key(window, seeds)
-        with self._lock:
-            hit = self._cache.get(key)
-            if hit is not None:
-                self._cache.move_to_end(key)
+        hit = self._cache.peek(key)
         if hit is not None:
-            self._counters["hit"].inc()
             return hit
         scope = sample_scope(window, seeds, self.spec, seed=self.seed)
         induced = induce_window(window, scope)
-        self._counters["identity" if scope.identity else "miss"].inc()
-        if self.cache_entries > 0:
-            with self._lock:
-                self._cache[key] = (induced, scope)
-                while len(self._cache) > self.cache_entries:
-                    self._cache.popitem(last=False)
+        self._cache.record("identity" if scope.identity else "miss")
+        self._cache.put(key, (induced, scope))
         return induced, scope
 
     def stats(self) -> Dict[str, int]:
@@ -367,5 +348,5 @@ class NeighborSampler:
             "entries": len(self._cache),
             "fanout": list(self.spec.key()),
             "seed": self.seed,
-            **{event: int(c.value) for event, c in self._counters.items()},
+            **{event: self._cache.count(event) for event in ("hit", "miss", "identity")},
         }

@@ -24,14 +24,16 @@ samples so snapshots can report *current* percentiles with O(1) memory;
 aggregation).
 
 Scrape-time values that live elsewhere (e.g. a store's window version)
-are bridged with :meth:`MetricsRegistry.register_collector`: collectors
-run right before every render/snapshot and refresh their gauges from
-the owning object — the owner's counter stays the one source of truth.
+are read with :meth:`MetricsRegistry.register_collector`: collectors run
+right before every render/snapshot and set gauges from the owning
+object's live state.  Counters are never bridged this way; they live
+here only.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import re
 import threading
@@ -47,6 +49,7 @@ __all__ = [
     "PromSample",
     "REGISTRY",
     "get_registry",
+    "new_instance",
     "parse_prometheus_text",
     "DEFAULT_BUCKETS",
 ]
@@ -98,12 +101,6 @@ class Counter:
             raise ValueError("counters can only increase; use a Gauge")
         with self._lock:
             self._value += amount
-
-    def inc_to(self, value: float) -> None:
-        """Raise the counter to ``value`` if larger (bridging external counts)."""
-        with self._lock:
-            if value > self._value:
-                self._value = float(value)
 
     @property
     def value(self) -> float:
@@ -493,6 +490,18 @@ REGISTRY = MetricsRegistry()
 def get_registry() -> MetricsRegistry:
     """The process-wide default registry (what ``GET /metrics`` renders)."""
     return REGISTRY
+
+
+_INSTANCE_IDS = itertools.count()
+
+
+def new_instance(prefix: str) -> str:
+    """A process-unique ``instance`` label value, e.g. ``"lru7"``.
+
+    Objects that keep counters give their series this label, so their
+    ``stats()`` read back only their own children.
+    """
+    return f"{prefix}{next(_INSTANCE_IDS)}"
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,6 @@ Quickstart::
 """
 
 from repro.serving.audit import AUDIT_DEFAULT_CAPACITY, RequestAudit
-from repro.serving.cache import LRUCache
 from repro.serving.client import ServingClient, ServingError
 from repro.serving.federation import ClusterMetricsFederator, federated_name
 from repro.serving.cluster import (
@@ -71,7 +70,6 @@ __all__ = [
     "EndpointStats",
     "EntityShard",
     "InferenceEngine",
-    "LRUCache",
     "LocalCluster",
     "MicroBatcher",
     "OnlineHistoryStore",

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,9 +38,9 @@ from repro.core.execution import (
 )
 from repro.graphs.sampler import NeighborSampler
 from repro.nn.serialization import load_checkpoint, read_checkpoint_metadata
-from repro.obs.metrics import get_registry
+from repro.obs.lru import BoundedLRU
+from repro.obs.metrics import get_registry, new_instance
 from repro.obs.trace import span
-from repro.serving.cache import LRUCache
 from repro.serving.store import OnlineHistoryStore
 
 
@@ -67,7 +66,8 @@ class MicroBatcher:
     batch.  Followers block until their item is published (or a new
     leader election picks them up).  :meth:`submit` returns the item's
     ``(scores, info)``, so every caller sees the info of the batch that
-    actually answered it.
+    actually answered it.  Batch counts live on the registry under this
+    batcher's ``instance`` label.
     """
 
     def __init__(self, execute, window_s: float = 0.002, max_batch: int = 1024):
@@ -77,9 +77,21 @@ class MicroBatcher:
         self._cv = threading.Condition()
         self._queue: List[_BatchItem] = []
         self._leader_active = False
-        self.batches = 0
-        self.batched_queries = 0
-        self.max_batch_size = 0
+        self.instance = instance = new_instance("batcher")
+        registry = get_registry()
+        self._batches = registry.counter(
+            "repro_batcher_batches_total", "Micro-batches executed.", labelnames=("instance",)
+        ).labels(instance=instance)
+        self._batched_queries = registry.counter(
+            "repro_batcher_batched_queries_total",
+            "Queries coalesced into micro-batches.",
+            labelnames=("instance",),
+        ).labels(instance=instance)
+        self._max_batch_size = registry.gauge(
+            "repro_batcher_max_batch_size",
+            "Largest micro-batch executed so far.",
+            labelnames=("instance",),
+        ).labels(instance=instance)
 
     def submit(self, pair: Tuple[int, int]) -> Tuple[np.ndarray, Dict[str, object]]:
         item = _BatchItem(pair)
@@ -110,21 +122,23 @@ class MicroBatcher:
         finally:
             with self._cv:
                 self._leader_active = False
-                self.batches += 1
-                self.batched_queries += len(batch)
-                self.max_batch_size = max(self.max_batch_size, len(batch))
+                self._batches.inc()
+                self._batched_queries.inc(len(batch))
+                if len(batch) > self._max_batch_size.value:
+                    self._max_batch_size.set(len(batch))
                 self._cv.notify_all()
         if item.error is not None:
             raise item.error
         return item.scores, item.info
 
     def stats(self) -> Dict[str, object]:
-        mean = self.batched_queries / self.batches if self.batches else 0.0
+        batches = int(self._batches.value)
+        queries = int(self._batched_queries.value)
         return {
-            "batches": self.batches,
-            "batched_queries": self.batched_queries,
-            "max_batch_size": self.max_batch_size,
-            "mean_batch_size": round(mean, 3),
+            "batches": batches,
+            "batched_queries": queries,
+            "max_batch_size": int(self._max_batch_size.value),
+            "mean_batch_size": round(queries / batches if batches else 0.0, 3),
             "window_ms": self.window_s * 1e3,
         }
 
@@ -173,7 +187,9 @@ class InferenceEngine:
         self.store = store
         self.model_key = model_key
         self.metadata = dict(metadata or {})
-        self.cache = LRUCache(max_entries=cache_entries)
+        # process-unique label of this engine's counter series
+        self.instance = new_instance("engine")
+        self.cache = BoundedLRU(cache_entries, cache="prediction", owner="serving")
         if state_cache is not None:
             self.state_cache = state_cache
         else:
@@ -203,18 +219,27 @@ class InferenceEngine:
             else None
         )
         # recency ring of distinct (s, r) pairs for refresh_hot_pairs
-        self._hot_pairs: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
-        self._hot_pairs_cap = 1024
-        encode_family = get_registry().counter(
+        self._hot_pairs = BoundedLRU(1024, cache="hot_pair", owner="serving")
+        registry = get_registry()
+        encode_family = registry.counter(
             "repro_engine_encode_total",
             "Engine decode executions by encode mode (full vs scoped cold-miss).",
-            labelnames=("mode",),
+            labelnames=("instance", "mode"),
         )
         self._encode_counters = {
-            mode: encode_family.labels(mode=mode) for mode in ("full", "scoped")
+            mode: encode_family.labels(instance=self.instance, mode=mode)
+            for mode in ("full", "scoped")
         }
-        # per-instance view (the registry series are process-wide)
-        self._encode_mode_counts = {"full": 0, "scoped": 0}
+        self._queries_counter = registry.counter(
+            "repro_engine_queries_served_total",
+            "Queries answered by the engine.",
+            labelnames=("instance",),
+        ).labels(instance=self.instance)
+        self._forward_counter = registry.counter(
+            "repro_engine_predict_calls_total",
+            "Model forward passes executed.",
+            labelnames=("instance",),
+        ).labels(instance=self.instance)
         self._warm_lock = threading.Lock()
         self._warming: set = set()
         self._warm_threads: List[threading.Thread] = []
@@ -223,8 +248,6 @@ class InferenceEngine:
         # for the audit plane (see last_batch_info)
         self._per_thread = threading.local()
         self._model_lock = threading.Lock()
-        self._predict_calls = 0
-        self._queries_served = 0
         self.model.eval()
 
     # ------------------------------------------------------------------
@@ -341,17 +364,12 @@ class InferenceEngine:
         results: Dict[Tuple[int, int], np.ndarray] = {}
         todo: List[Tuple[int, int]] = []
         for pair in dict.fromkeys(pairs):  # dedup, keep order
-            found, scores = self.cache.get(self._cache_key(pair, version))
-            if found:
+            scores = self.cache.get(self._cache_key(pair, version))
+            if scores is not None:
                 results[pair] = scores
             else:
                 todo.append(pair)
-        with self._warm_lock:
-            for pair in dict.fromkeys(pairs):
-                self._hot_pairs[pair] = None
-                self._hot_pairs.move_to_end(pair)
-            while len(self._hot_pairs) > self._hot_pairs_cap:
-                self._hot_pairs.popitem(last=False)
+            self._hot_pairs.put(pair, None)
         if todo:
             queries = np.zeros((len(todo), 4), dtype=np.int64)
             for i, (s, r) in enumerate(todo):
@@ -362,19 +380,17 @@ class InferenceEngine:
             with span("engine.predict_batch", batch=len(pairs), misses=len(todo)):
                 with self._model_lock:
                     window = self.store.window_for(queries)
-                    scoped = (
-                        self.scoped_plan is not None
-                        and self.state_cache.peek(self.model, window, self.model_key) is None
+                    scoped = self.scoped_plan is not None and (
+                        self.state_cache.cached_state(self.model, window, self.model_key) is None
                     )
                     # cold miss: answer from the sampled fan-in closure
                     # now, warm the full encode off-path; either way the
                     # decode runs on the batched timeline plane
                     batcher = self._scoped_timeline if scoped else self._timeline
                     scores = self._blocked_scores(batcher, window, queries, lo, hi)
-                    self._predict_calls += 1
+                    self._forward_counter.inc()
             mode = "scoped" if scoped else "full"
             self._encode_counters[mode].inc()
-            self._encode_mode_counts[mode] += 1
             for i, pair in enumerate(todo):
                 results[pair] = scores[i]
                 if not scoped:
@@ -485,8 +501,7 @@ class InferenceEngine:
         rollover, so the next wave of requests for hot pairs is served
         from cache instead of paying per-request decodes.
         """
-        with self._warm_lock:
-            pairs = list(self._hot_pairs)[-max(0, int(limit)):]
+        pairs = list(self._hot_pairs)[-max(0, int(limit)):]
         if not pairs:
             return {"refreshed": 0}
         version = self.store.window_version
@@ -520,7 +535,7 @@ class InferenceEngine:
     def scores_for(self, subject: int, relation: int, inverse: bool = False) -> np.ndarray:
         """Full score vector over entities (cache + micro-batch path)."""
         pair = self._checked_pair(subject, relation, inverse)
-        self._queries_served += 1
+        self._queries_counter.inc()
         scores, self._per_thread.batch_info = self._batcher.submit(pair)
         return scores
 
@@ -554,7 +569,7 @@ class InferenceEngine:
             )
             for q in queries
         ]
-        self._queries_served += len(parsed)
+        self._queries_counter.inc(len(parsed))
         pairs = [pair for pair, _, _ in parsed]
         score_map, self._per_thread.batch_info = self._execute_batch(pairs)
         return [
@@ -571,13 +586,15 @@ class InferenceEngine:
     def stats(self) -> Dict[str, object]:
         return {
             "model": self.model_key,
-            "queries_served": self._queries_served,
-            "predict_calls": self._predict_calls,
+            "queries_served": int(self._queries_counter.value),
+            "predict_calls": int(self._forward_counter.value),
             "cache": self.cache.stats(),
             "state_cache": None if self.state_cache is None else self.state_cache.stats(),
             "batching": self._batcher.stats(),
             "store": self.store.stats(),
-            "encode_modes": dict(self._encode_mode_counts),
+            "encode_modes": {
+                mode: int(counter.value) for mode, counter in self._encode_counters.items()
+            },
             "scoped_cold_start": None if self.scoped_plan is None else self.scoped_plan.stats(),
             "hot_pairs_tracked": len(self._hot_pairs),
         }

@@ -14,7 +14,9 @@ worker counter/gauge as an aggregated ``repro_cluster_*`` gauge family:
 
 so ``repro_engine_encode_total{mode="full"}`` on the workers becomes
 ``repro_cluster_engine_encode_total{shard="sum",mode="full"}`` (and
-friends) on the router.  Histogram families are skipped (their
+friends) on the router.  The per-object ``instance`` label is folded
+away by summing within each worker, so a shard's value covers every
+cache or engine instance living in that worker.  Histogram families are skipped (their
 per-shard ``repro_cluster_scatter_seconds`` views already live on the
 router) and so is anything already ``repro_cluster_``-prefixed —
 essential in the in-process cluster, where router and workers share one
@@ -115,7 +117,8 @@ class ClusterMetricsFederator:
         # The inner dict is keyed by shard label: a sample that already
         # carries a shard label keeps it (and scraping the same series
         # through two workers — the shared-registry in-process cluster —
-        # dedups instead of double-counting it into the sum).
+        # dedups instead of double-counting it into the sum).  Within one
+        # scrape, samples differing only by ``instance`` are summed.
         grouped: Dict[
             Tuple[str, Tuple[str, ...]], Dict[Tuple[str, ...], Dict[str, float]]
         ] = {}
@@ -128,6 +131,7 @@ class ClusterMetricsFederator:
             except Exception:
                 self._scrape_failures.labels(shard=shard_label).inc()
                 continue
+            scraped: Dict[Tuple, float] = {}
             for sample in samples:
                 if sample.type not in ("counter", "gauge"):
                     continue  # histograms stay worker-local
@@ -135,18 +139,21 @@ class ClusterMetricsFederator:
                     continue  # shared-registry feedback guard
                 if not math.isfinite(sample.value):
                     continue  # NaN/Inf gauges would poison sum/max forever
-                labels = {k: v for k, v in sample.labels.items() if k != "shard"}
+                labels = {
+                    k: v for k, v in sample.labels.items() if k not in ("shard", "instance")
+                }
                 labelnames = tuple(sorted(labels))
                 key = (federated_name(sample.name), labelnames)
                 labelvalues = tuple(labels[k] for k in labelnames)
                 owner = sample.labels.get("shard", shard_label)
-                grouped.setdefault(key, {}).setdefault(labelvalues, {})[
-                    owner
-                ] = sample.value
+                series = (key, labelvalues, owner)
+                scraped[series] = scraped.get(series, 0.0) + sample.value
                 help_texts.setdefault(
                     federated_name(sample.name),
                     f"Federated from worker {sample.name} (per-shard + sum/max).",
                 )
+            for (key, labelvalues, owner), value in scraped.items():
+                grouped.setdefault(key, {}).setdefault(labelvalues, {})[owner] = value
         for (name, labelnames), series in grouped.items():
             try:
                 family = self.registry.gauge(

@@ -436,51 +436,21 @@ class ServingHandler(BaseJSONHandler):
 
 
 def _engine_collector(engine: InferenceEngine, registry: MetricsRegistry):
-    """Bridge engine-owned counters onto the registry at scrape time.
+    """Refresh the history-store gauges right before every ``/metrics`` render.
 
-    The engine's LRU cache, micro-batcher, and store keep their own
-    counters (they predate the registry and back ``/stats`` directly);
-    rather than double-count, this collector refreshes registry series
-    from those owners right before every ``/metrics`` render.
+    The engine's caches, batcher and counters write their series on the
+    registry themselves; only the store's live state needs reading here.
     """
     window_version = registry.gauge(
         "repro_window_version", "History-store window version (bumps per sealed snapshot)."
-    )
-    cache_events = registry.counter(
-        "repro_prediction_cache_events_total",
-        "Prediction-cache hits/misses/evictions.",
-        labelnames=("event",),
-    )
-    cache_entries = registry.gauge(
-        "repro_prediction_cache_entries", "Prediction-cache resident entries."
-    )
-    queries = registry.counter(
-        "repro_engine_queries_served_total", "Queries answered by the engine."
-    )
-    forwards = registry.counter(
-        "repro_engine_predict_calls_total", "Model forward passes executed."
-    )
-    batches = registry.counter(
-        "repro_batcher_batches_total", "Micro-batches executed."
-    )
-    batched = registry.counter(
-        "repro_batcher_batched_queries_total", "Queries coalesced into micro-batches."
     )
     store_gauges = registry.gauge(
         "repro_store_events", "History-store event counts.", labelnames=("state",)
     )
 
     def collect() -> None:
-        stats = engine.stats()
-        store, cache, batching = stats["store"], stats["cache"], stats["batching"]
+        store = engine.store.stats()
         window_version.set(store["window_version"])
-        for event in ("hits", "misses", "evictions"):
-            cache_events.labels(event=event).inc_to(cache[event])
-        cache_entries.set(cache["entries"])
-        queries.inc_to(stats["queries_served"])
-        forwards.inc_to(stats["predict_calls"])
-        batches.inc_to(batching["batches"])
-        batched.inc_to(batching["batched_queries"])
         store_gauges.labels(state="pending").set(store["pending_events"])
         store_gauges.labels(state="total").set(store["total_events"])
         store_gauges.labels(state="sealed_snapshots").set(store["sealed_snapshots"])

@@ -132,7 +132,7 @@ class ShardEngine(InferenceEngine):
             )
             for q in queries
         ]
-        self._queries_served += len(parsed)
+        self._queries_counter.inc(len(parsed))
         started = time.perf_counter()
         with span("shard.decode", shard=self.shard.index, batch=len(parsed)):
             score_map, self._per_thread.batch_info = self._execute_batch(

@@ -250,16 +250,14 @@ class TieredStateCache(EncoderStateCache):
     def get_or_encode(self, model, window: HistoryWindow, model_key: str = "model") -> EncoderState:
         fingerprint = window.fingerprint()
         key = self._key(model, model_key, fingerprint)
-        state = self._cache_get(key)
+        state = self.get(key)
         if state is not None:
             return state
-        self.misses += 1
-        self._counters["miss"].inc()
 
         state = self.tier.load(key)
         if state is not None:
             self.tier.count("hit")
-            self._cache_put(key, state)
+            self.put(key, state)
             return state
         self.tier.count("miss")
 
@@ -278,7 +276,7 @@ class TieredStateCache(EncoderStateCache):
                 # winner stalled or died: encode locally rather than fail
                 self.tier.count("fallback")
                 state = self._encode_live(model, window, fingerprint)
-        self._cache_put(key, state)
+        self.put(key, state)
         return state
 
     def stats(self) -> Dict[str, Any]:

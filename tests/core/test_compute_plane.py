@@ -177,7 +177,7 @@ class TestWindowBuilderCaches:
         builder = self._builder(use_global=False, cache_capacity=2)
         for quads in self._timeline(rng, timestamps=6):
             builder.absorb(quads)
-        assert len(builder._snapshot_cache) <= 2
+        assert len(builder._caches["snapshot"]) <= 2
 
 
 class TestMetricParity:

@@ -158,14 +158,9 @@ class TestEncoderStateCache:
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["hit_rate"] == pytest.approx(0.5)
         text = get_registry().render_prometheus()
-        assert (
-            'repro_encoder_state_cache_events_total{owner="stats_test",event="hit"} 1'
-            in text
-        )
-        assert (
-            'repro_encoder_state_cache_events_total{owner="stats_test",event="miss"} 1'
-            in text
-        )
+        labels = f'cache="encoder_state",owner="stats_test",instance="{cache.instance}"'
+        assert f'repro_cache_events_total{{{labels},event="hit"}} 1' in text
+        assert f'repro_cache_events_total{{{labels},event="miss"}} 1' in text
 
 
 class TestFloat64Parity:
@@ -267,16 +262,12 @@ class TestFloat64Parity:
         n = min(3, len(tiny_dataset.valid.facts_by_time()))
         from repro.obs.metrics import get_registry
 
-        miss_counter = get_registry().counter(
-            "repro_encoder_state_cache_events_total",
-            "Encoder-state cache hits/misses/evictions per owner.",
-            labelnames=("owner", "event"),
-        ).labels(owner="evaluator", event="miss")
-        hit_counter = get_registry().counter(
-            "repro_encoder_state_cache_events_total",
-            "Encoder-state cache hits/misses/evictions per owner.",
-            labelnames=("owner", "event"),
-        ).labels(owner="evaluator", event="hit")
+        lru = plan.cache
+        events = get_registry().get("repro_cache_events_total")
+        miss_counter, hit_counter = (
+            events.labels(cache=lru.cache, owner="evaluator", instance=lru.instance, event=e)
+            for e in ("miss", "hit")
+        )
         misses_before, hits_before = miss_counter.value, hit_counter.value
         entity_result, relation_result = evaluator.evaluate_joint(
             model, builder, tiny_dataset.valid,

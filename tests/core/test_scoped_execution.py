@@ -125,4 +125,4 @@ class TestCappedScoping:
         scoped.entity_scores(window, queries)
         # the full window's state must not have been populated by the
         # scoped decode — only a real full encode may claim that key
-        assert cache.peek(model, window) is None
+        assert cache.cached_state(model, window) is None

@@ -138,9 +138,12 @@ class TestGraphCacheCapacity:
             b.absorb(_quads(t, [(0, 0, 1)]))
             b.window_for(_quads(t, [(0, 0, 1)]), prediction_time=t)
         stats = b.cache_stats()
-        assert "repro_window_cache_entries" in get_registry().render_prometheus()
+        assert "repro_cache_entries" in get_registry().render_prometheus()
+        entries = get_registry().get("repro_cache_entries")
         for name in ("snapshot", "merged", "global"):
-            assert b._cache_gauges[name].value == stats[f"{name}_entries"]
+            cache = b._caches[name]
+            gauge = entries.labels(cache=cache.cache, owner=cache.owner, instance=cache.instance)
+            assert gauge.value == stats[f"{name}_entries"] == len(cache)
         assert stats["snapshot_entries"] >= 1
 
 

@@ -31,12 +31,6 @@ class TestCounter:
         with pytest.raises(ValueError):
             Counter().inc(-1)
 
-    def test_inc_to_is_monotone(self):
-        c = Counter()
-        c.inc_to(10)
-        c.inc_to(4)  # never goes down
-        assert c.value == 10
-
     def test_thread_safety_exact_total(self):
         c = Counter()
         threads = [

@@ -256,7 +256,7 @@ class TestHotPairRefresh:
         _, path = _checkpoint(tmp_path)
         engine = InferenceEngine.from_checkpoint(path, batch_window_s=0.0)
         engine.store.warm_up(tiny_dataset.train)
-        engine._hot_pairs_cap = 4
+        engine._hot_pairs.capacity = 4
         for s in range(8):
             engine.scores_for(s, 0)
         assert engine.stats()["hot_pairs_tracked"] == 4

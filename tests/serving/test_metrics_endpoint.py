@@ -9,6 +9,7 @@ import pytest
 
 from repro.baselines import build_model
 from repro.nn.serialization import save_checkpoint
+from repro.obs.metrics import parse_prometheus_text
 from repro.serving import InferenceEngine, serve_in_thread
 
 _LABEL = r'[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"'
@@ -55,6 +56,19 @@ def _post(url, payload):
         return json.loads(response.read().decode())
 
 
+def _series(text, name, **labels):
+    """Value of the one exported sample of ``name`` carrying ``labels``."""
+    (value,) = [
+        s.value for s in parse_prometheus_text(text)
+        if s.name == name and all(s.labels.get(k) == v for k, v in labels.items())
+    ]
+    return int(value)
+
+
+def _cache_labels(lru):
+    return {"cache": lru.cache, "owner": lru.owner, "instance": lru.instance}
+
+
 class TestMetricsEndpoint:
     def test_content_type_and_exposition_validity(self, served):
         server, _ = served
@@ -80,20 +94,26 @@ class TestMetricsEndpoint:
         _post(server.url + "/predict", {"subject": 1, "relation": 1})
         _post(server.url + "/predict", {"subject": 1, "relation": 1})  # cache hit
         _, text = _get(server.url + "/metrics")
-        hits = re.search(
-            r'repro_prediction_cache_events_total\{event="hits"\} (\d+)', text
+        labels = _cache_labels(engine.cache)
+        hits = _series(text, "repro_cache_events_total", event="hit", **labels)
+        misses = _series(text, "repro_cache_events_total", event="miss", **labels)
+        assert hits >= 1 and misses >= 1
+        # /stats is a view over this engine's own series: exact equality
+        stats = engine.stats()
+        assert (hits, misses) == (stats["cache"]["hits"], stats["cache"]["misses"])
+        assert _series(text, "repro_cache_entries", **labels) == stats["cache"]["entries"]
+        instance = {"instance": engine.instance}
+        assert _series(text, "repro_engine_queries_served_total", **instance) == (
+            stats["queries_served"]
         )
-        misses = re.search(
-            r'repro_prediction_cache_events_total\{event="misses"\} (\d+)', text
+        assert _series(text, "repro_engine_predict_calls_total", **instance) == (
+            stats["predict_calls"]
         )
-        assert hits and misses
-        assert int(hits.group(1)) >= 1
-        assert int(misses.group(1)) >= 1
-        # bridged counts agree with the owner (the LRU cache)
-        assert int(hits.group(1)) == engine.cache.stats()["hits"]
-        assert "repro_engine_queries_served_total" in text
+        assert _series(
+            text, "repro_batcher_batches_total", instance=engine._batcher.instance
+        ) == stats["batching"]["batches"]
         assert "repro_compiled_graph_builds_total" in text
-        assert "repro_window_cache_events_total" in text
+        assert 'cache="snapshot_graph",owner="window"' in text
 
     def test_encoder_state_cache_counters_exported(self, served):
         """Cold (s, r) pairs on a quiet window share one encode: the
@@ -105,24 +125,16 @@ class TestMetricsEndpoint:
         for pair in ((2, 0), (3, 1), (4, 2), (5, 3)):
             _post(server.url + "/predict", {"subject": pair[0], "relation": pair[1]})
         _, text = _get(server.url + "/metrics")
-        hit = re.search(
-            r'repro_encoder_state_cache_events_total\{owner="serving",event="hit"\} (\d+)',
-            text,
-        )
-        miss = re.search(
-            r'repro_encoder_state_cache_events_total\{owner="serving",event="miss"\} (\d+)',
-            text,
-        )
-        assert hit and miss, "encoder-state cache counters missing from /metrics"
-        assert int(miss.group(1)) >= 1
-        assert int(hit.group(1)) >= 1, "no state-cache hits on a quiet window"
-        assert 'repro_encoder_state_cache_entries{owner="serving"}' in text
-        # /stats reads the same underlying cache (the registry counters
-        # are cumulative across every serving-owned cache in the
-        # process, so exported >= this instance's counts)
+        labels = _cache_labels(engine.state_cache)
+        assert labels["cache"] == "encoder_state" and labels["owner"] == "serving"
+        hit = _series(text, "repro_cache_events_total", event="hit", **labels)
+        miss = _series(text, "repro_cache_events_total", event="miss", **labels)
+        assert miss >= 1
+        assert hit >= 1, "no state-cache hits on a quiet window"
+        # /stats reads this cache's own series: exact equality
         stats = engine.stats()["state_cache"]
-        assert int(hit.group(1)) >= stats["hits"] >= 1
-        assert int(miss.group(1)) >= stats["misses"] >= 1
+        assert (hit, miss) == (stats["hits"], stats["misses"])
+        assert _series(text, "repro_cache_entries", **labels) == stats["entries"]
         assert stats["hit_rate"] > 0.0
 
     def test_window_version_gauge_tracks_store(self, served):
