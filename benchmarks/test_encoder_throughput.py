@@ -1,24 +1,9 @@
-"""Encoder throughput: the fused compute plane vs. the pre-refactor paths.
+"""Encoder throughput: sampled vs. full-graph encode at large entity scale.
 
-Two measurements, one JSON report (``BENCH_encoder.json``):
-
-1. **Encoder walk** — full HisRES training steps (forward + backward)
-   per second over an ``icews14s_small`` timeline walk, under each
-   segment-op implementation (``fused`` / ``reference`` / ``dense``).
-   At this synthetic scale (~50-edge snapshots, 120 entities) the
-   encoder is matmul-bound, so the implementations land within noise of
-   each other — the walk documents that the plane never *slows down*
-   the small profiles.
-2. **Aggregation kernel block** — the ConvGAT aggregation core
-   (segment_softmax + weighted segment_sum, forward + backward) at real
-   ICEWS14 scale (20k edges over 7128 entities), where segment
-   reductions dominate.  This is where the acceptance bar is asserted:
-   the fused plane must be >= 2x the dense-reference ops measured in
-   the same run (it is typically >10x; the pre-refactor ``np.add.at``
-   path is also reported).
-
-Implementations are switched with ``repro.nn.segment.segment_impl`` —
-the ``reference`` flag *is* the pre-refactor scatter path.
+One measurement, one JSON report (``BENCH_encoder.json``): a cold query
+batch scored through the full-graph plan and through the sampler-scoped
+plan on a synthetic graph with 10x ICEWS14's entity count.  Training
+step throughput is measured end to end by ``perfbench`` (``offline``).
 """
 
 import os
@@ -27,168 +12,17 @@ import time
 import numpy as np
 
 from repro.baselines import build_model
-from repro.core import (
-    EncoderStateCache,
-    ExecutionPlan,
-    HisRES,
-    HisRESConfig,
-    ScopedExecutionPlan,
-)
+from repro.core import EncoderStateCache, ExecutionPlan, ScopedExecutionPlan
 from repro.core.window import WindowBuilder
-from repro.data import generate_dataset
 from repro.experiments.runner import get_scale
 from repro.graphs import NeighborSampler
-from repro.nn import Adam
-from repro.nn.segment import SegmentLayout, segment_impl, segment_softmax, segment_sum
-from repro.nn.tensor import Tensor
-from repro.training import TimelineEvaluator, seed_everything
+from repro.training import seed_everything
 
 from benchmarks.conftest import emit_bench, print_table
 
-DATASET = "icews14s_small"
-IMPLS = ("fused", "reference", "dense")
 BENCH_JSON = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_encoder.json"
 )
-
-# both tests contribute to one BENCH_encoder.json artifact; the later
-# emission carries whatever the earlier one stashed here
-_PAYLOAD = {}
-
-
-def _walk_steps_per_second(impl, dataset, items, dim):
-    """Full HisRES fwd+bwd steps/sec over a (cached) timeline walk."""
-    seed_everything(7)
-    config = HisRESConfig(
-        embedding_dim=dim, history_length=3, decoder_channels=8, dropout=0.0
-    )
-    model = HisRES(dataset.num_entities, dataset.num_relations, config)
-    optimizer = Adam(model.parameters(), lr=1e-3)
-    evaluator = TimelineEvaluator(dataset)
-    builder = WindowBuilder(
-        dataset.num_entities,
-        dataset.num_relations,
-        history_length=config.history_length,
-        use_global=True,
-    )
-
-    def one_pass():
-        done = 0
-        builder.reset()
-        for t, quads in items:
-            if builder.history_filled:
-                queries = evaluator.queries_with_inverse(quads)
-                window = builder.window_for(queries, prediction_time=int(t))
-                loss = model.loss(window, queries)
-                model.zero_grad()
-                loss.backward()
-                optimizer.step()
-                done += 1
-            builder.absorb(quads)
-        return done
-
-    with segment_impl(impl):
-        one_pass()  # warm pass fills the graph/layout caches
-        start = time.perf_counter()
-        done = one_pass()
-        return done / (time.perf_counter() - start)
-
-
-def _kernel_blocks_per_second(impl, layout, values, scores, reps):
-    """ConvGAT aggregation core fwd+bwd at paper-scale edge counts."""
-
-    def block():
-        v = Tensor(values, requires_grad=True)
-        s = Tensor(scores, requires_grad=True)
-        weights = segment_softmax(s, layout)
-        out = segment_sum(v * weights.reshape(-1, 1), layout)
-        (out * out).sum().backward()
-
-    with segment_impl(impl):
-        block()  # warm
-        start = time.perf_counter()
-        for _ in range(reps):
-            block()
-        return reps / (time.perf_counter() - start)
-
-
-def test_encoder_fwd_bwd_throughput(benchmark):
-    scale = get_scale()
-    smoke = scale.name == "smoke"
-    num_steps = 6 if smoke else 16
-    num_edges, num_entities = (5000, 2000) if smoke else (20000, 7128)
-
-    def run():
-        dataset = generate_dataset(DATASET)
-        items = sorted(dataset.train.facts_by_time().items())[:num_steps]
-        walk = {
-            impl: _walk_steps_per_second(impl, dataset, items, scale.dim)
-            for impl in IMPLS
-        }
-
-        rng = np.random.default_rng(14)
-        layout = SegmentLayout(rng.integers(0, num_entities, num_edges), num_entities)
-        values = rng.normal(size=(num_edges, scale.dim))
-        scores = rng.normal(size=num_edges)
-        kernel = {
-            impl: _kernel_blocks_per_second(
-                impl, layout, values, scores, reps=2 if impl == "dense" else 8
-            )
-            for impl in IMPLS
-        }
-        return walk, kernel
-
-    walk, kernel = benchmark.pedantic(run, rounds=1, iterations=1)
-    kernel_speedup_dense = kernel["fused"] / max(kernel["dense"], 1e-9)
-    kernel_speedup_reference = kernel["fused"] / max(kernel["reference"], 1e-9)
-
-    rows = [
-        {
-            "impl": impl,
-            "walk_steps_s": walk[impl],
-            "kernel_blk_s": kernel[impl],
-            "kernel_speedup": kernel[impl] / max(kernel["dense"], 1e-9),
-        }
-        for impl in IMPLS
-    ]
-    print_table(
-        "Extension: HisRES encoder throughput (walk: icews14s_small; "
-        "kernel: ICEWS14-scale aggregation)",
-        rows,
-        columns=("impl", "walk_steps_s", "kernel_blk_s", "kernel_speedup"),
-    )
-
-    _PAYLOAD.update(
-        {
-            "walk_steps_per_second": {k: round(v, 3) for k, v in walk.items()},
-            "kernel_blocks_per_second": {k: round(v, 3) for k, v in kernel.items()},
-            "fused_speedup_vs_dense": round(kernel_speedup_dense, 3),
-            "fused_speedup_vs_reference": round(kernel_speedup_reference, 3),
-        }
-    )
-    emit_bench(
-        "encoder_throughput",
-        dict(_PAYLOAD),
-        json_path=BENCH_JSON,
-        dataset=DATASET,
-        seed=7,
-        config={
-            "scale": scale.name,
-            "dim": scale.dim,
-            "walk_timeline_steps": num_steps,
-            "kernel_edges": num_edges,
-            "kernel_entities": num_entities,
-        },
-    )
-
-    # acceptance bar: >= 2x over the dense-reference ops in the same run
-    assert kernel_speedup_dense >= 2.0, (
-        f"fused kernels only {kernel_speedup_dense:.2f}x over the dense "
-        f"reference ({kernel['fused']:.2f} vs {kernel['dense']:.2f} blocks/s)"
-    )
-    # the walk must not regress materially vs the pre-refactor scatter
-    # path (generous margin: this box's clock is noisy)
-    assert walk["fused"] >= walk["reference"] * 0.5
 
 
 def _scaling_window(num_entities, num_relations, edges_per_snapshot,
@@ -311,18 +145,15 @@ def test_sampled_vs_full_encoder_scaling(benchmark):
         columns=("plan", "encode_nodes", "batch_seconds", "win_x"),
     )
 
-    _PAYLOAD.update(
+    emit_bench(
+        "encoder_sampler_scaling",
         {
             "sampler_full_batch_seconds": round(full_s, 4),
             "sampler_scoped_batch_seconds": round(scoped_s, 4),
             "sampler_win_x": round(win, 2),
             "sampler_closure_nodes": closure,
             "sampler_graph_entities": num_entities,
-        }
-    )
-    emit_bench(
-        "encoder_sampler_scaling",
-        dict(_PAYLOAD),
+        },
         json_path=BENCH_JSON,
         dataset=f"synthetic-{num_entities}",
         model="regcn",

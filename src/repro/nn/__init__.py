@@ -26,9 +26,6 @@ from repro.nn.segment import (
     segment_mean,
     segment_max,
     segment_softmax,
-    set_segment_impl,
-    get_segment_impl,
-    segment_impl,
 )
 from repro.nn.module import Module, Parameter, ModuleList, ModuleDict
 from repro.nn.layers import Linear, Embedding, Dropout, Sequential, LayerNorm, BatchNorm1d
@@ -72,9 +69,6 @@ __all__ = [
     "segment_mean",
     "segment_max",
     "segment_softmax",
-    "set_segment_impl",
-    "get_segment_impl",
-    "segment_impl",
     "Module",
     "Parameter",
     "ModuleList",

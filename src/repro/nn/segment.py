@@ -1,11 +1,9 @@
-"""Fused autodiff segment reductions — the graph compute plane's kernels.
+"""Fused autodiff segment reductions — the graph compute plane's kernel.
 
 Message passing in every encoder of this repo reduces per-edge values
-into per-node (or per-relation) buckets.  The historical implementation
-funnelled through ``Tensor.scatter_add`` built on ``np.add.at``, which
-numpy executes as an unbuffered per-element loop, and re-derived the
-destination grouping on every call.  This module provides the fused
-alternatives:
+into per-node (or per-relation) buckets.  Scattering with ``np.add.at``
+would run numpy's unbuffered per-element loop and re-derive the
+destination grouping on every call; this module instead:
 
 - :class:`SegmentLayout` precomputes the sorted-edge/CSR view of one
   segment-id array (stable sort permutation, CSR offsets, counts) so the
@@ -19,22 +17,18 @@ alternatives:
 Empty segments reduce to 0 for sum/mean/max and to an empty softmax
 group; both match the behaviour of scattering into a zero tensor.
 
-For verification the module keeps two reference implementations
-selectable with :func:`set_segment_impl` / :func:`segment_impl`:
-
-- ``"reference"`` — the pre-refactor path: per-call ``np.add.at`` /
-  ``np.maximum.at`` scatter loops, ignoring any precomputed layout;
-- ``"dense"`` — one-hot matmul reductions (`O(segments * entries)`),
-  the ground truth the gradcheck property tests compare against.
-
-With float64 all three produce results equal to ~1e-14 (buffered
-reductions use pairwise summation; the scatter loop is sequential), so
-metrics agree far below the 1e-9 parity tolerance.
+The sorted-layout ``reduceat`` kernel is the only row reduction in the
+package: ``Tensor.index_select``'s backward accumulates duplicate rows
+through :func:`segment_sum_data` as well.  The oracles it is checked
+against live in the tests — a one-hot matmul reduction in
+``tests/nn/test_segment_ops.py`` and the ``np.add.at`` /
+``np.maximum.at`` scatter in ``tests/core/test_compute_plane.py``.
+With float64 they agree to ~1e-14 (buffered reductions sum pairwise;
+the scatter loop is sequential).
 """
 
 from __future__ import annotations
 
-import contextlib
 from typing import Optional, Union
 
 import numpy as np
@@ -49,38 +43,7 @@ __all__ = [
     "segment_mean",
     "segment_max",
     "segment_softmax",
-    "set_segment_impl",
-    "get_segment_impl",
-    "segment_impl",
 ]
-
-_IMPLS = ("fused", "reference", "dense")
-_IMPL = "fused"
-
-
-def set_segment_impl(name: str) -> str:
-    """Select the segment-op implementation; returns the previous one."""
-    global _IMPL
-    if name not in _IMPLS:
-        raise ValueError(f"unknown segment impl {name!r}; expected one of {_IMPLS}")
-    previous = _IMPL
-    _IMPL = name
-    return previous
-
-
-def get_segment_impl() -> str:
-    return _IMPL
-
-
-@contextlib.contextmanager
-def segment_impl(name: str):
-    """Temporarily switch implementations (parity tests, benchmarks)."""
-    previous = set_segment_impl(name)
-    try:
-        yield
-    finally:
-        set_segment_impl(previous)
-
 
 class SegmentLayout:
     """Sorted-edge/CSR view of one segment-id array, built once.
@@ -129,35 +92,29 @@ class SegmentLayout:
 LayoutOrSegments = Union[SegmentLayout, np.ndarray]
 
 
-def _resolve(segments: LayoutOrSegments, num_segments: Optional[int]) -> SegmentLayout:
+def _resolve(
+    values: np.ndarray, segments: LayoutOrSegments, num_segments: Optional[int]
+) -> SegmentLayout:
+    """The layout for ``segments``, checked to hold one entry per row of ``values``."""
     if isinstance(segments, SegmentLayout):
-        return segments
-    if num_segments is None:
+        layout = segments
+    elif num_segments is None:
         raise ValueError("num_segments is required when no SegmentLayout is given")
-    return SegmentLayout(segments, num_segments)
-
-
-def _one_hot(layout: SegmentLayout, dtype) -> np.ndarray:
-    out = np.zeros((layout.num_entries, layout.num_segments), dtype=dtype)
-    if layout.num_entries:
-        out[np.arange(layout.num_entries), layout.segments] = 1.0
-    return out
+    else:
+        layout = SegmentLayout(segments, num_segments)
+    if values.shape[:1] != (layout.num_entries,):
+        raise ValueError(
+            f"values have shape {values.shape} but the layout has "
+            f"{layout.num_entries} entries (one per row expected)"
+        )
+    return layout
 
 
 # ----------------------------------------------------------------------
-# raw (non-autodiff) reductions, dispatched on the active impl
+# raw (non-autodiff) reductions
 # ----------------------------------------------------------------------
 def _sum_data(values: np.ndarray, layout: SegmentLayout) -> np.ndarray:
     out_shape = (layout.num_segments,) + values.shape[1:]
-    if _IMPL == "dense":
-        cols = int(np.prod(values.shape[1:], dtype=np.int64))
-        flat = values.reshape(layout.num_entries, cols)
-        dense = _one_hot(layout, values.dtype).T @ flat
-        return dense.reshape(out_shape)
-    if _IMPL == "reference":
-        out = np.zeros(out_shape, dtype=values.dtype)
-        np.add.at(out, layout.segments, values)
-        return out
     out = np.zeros(out_shape, dtype=values.dtype)
     if layout.num_entries:
         out[layout.nonempty] = np.add.reduceat(values[layout.order], layout.starts, axis=0)
@@ -166,11 +123,6 @@ def _sum_data(values: np.ndarray, layout: SegmentLayout) -> np.ndarray:
 
 def _max_data(values: np.ndarray, layout: SegmentLayout) -> np.ndarray:
     out_shape = (layout.num_segments,) + values.shape[1:]
-    if _IMPL in ("reference", "dense"):
-        out = np.full(out_shape, -np.inf, dtype=values.dtype)
-        np.maximum.at(out, layout.segments, values)
-        out[~layout.nonempty] = 0.0
-        return out
     out = np.zeros(out_shape, dtype=values.dtype)
     if layout.num_entries:
         out[layout.nonempty] = np.maximum.reduceat(
@@ -193,7 +145,8 @@ def segment_sum_data(
     The kernel behind :func:`segment_sum`, exposed for numeric code that
     never needs gradients (e.g. attention-mass propagation in xERTE).
     """
-    return _sum_data(np.asarray(values), _resolve(segments, num_segments))
+    values = np.asarray(values)
+    return _sum_data(values, _resolve(values, segments, num_segments))
 
 
 # ----------------------------------------------------------------------
@@ -211,7 +164,7 @@ def segment_sum(
     precomputed :class:`SegmentLayout` (the compiled-graph fast path).
     """
     values = ensure_tensor(values)
-    layout = _resolve(segments, num_segments)
+    layout = _resolve(values.data, segments, num_segments)
     out_data = _sum_data(values.data, layout)
 
     def backward(grad: np.ndarray) -> None:
@@ -229,7 +182,7 @@ def segment_mean(
 ) -> Tensor:
     """Mean of entries per segment; empty segments yield 0."""
     values = ensure_tensor(values)
-    layout = _resolve(segments, num_segments)
+    layout = _resolve(values.data, segments, num_segments)
     inv = 1.0 / np.maximum(layout.counts, 1).astype(values.dtype)
     scale = inv.reshape((-1,) + (1,) * (values.ndim - 1))
     out_data = _sum_data(values.data, layout) * scale
@@ -253,7 +206,7 @@ def segment_max(
     :meth:`Tensor.max`) so finite-difference checks stay exact.
     """
     values = ensure_tensor(values)
-    layout = _resolve(segments, num_segments)
+    layout = _resolve(values.data, segments, num_segments)
     out_data = _max_data(values.data, layout)
     ties = (values.data == _gather(out_data, layout)).astype(values.dtype)
     tie_counts = np.maximum(_sum_data(ties, layout), 1.0)
@@ -283,7 +236,7 @@ def segment_softmax(
     scores = ensure_tensor(scores)
     if scores.ndim != 1:
         raise ValueError("segment_softmax expects 1-D scores (one per entry)")
-    layout = _resolve(segments, num_segments)
+    layout = _resolve(scores.data, segments, num_segments)
     seg_max = _max_data(scores.data, layout)
     shifted = scores.data - _gather(seg_max, layout)
     exp = np.exp(shifted)

@@ -122,28 +122,6 @@ def ensure_tensor(value: ArrayLike) -> "Tensor":
     return Tensor(np.asarray(value, dtype=_DEFAULT_DTYPE))
 
 
-def scatter_rows_add(out: np.ndarray, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Accumulate ``values`` rows into ``out`` at ``indices``, buffered.
-
-    Drop-in replacement for ``np.add.at(out, indices, values)`` along
-    axis 0, built on a stable sort + ``np.add.reduceat`` so duplicate
-    indices are reduced in one buffered pass instead of numpy's slow
-    unbuffered per-element loop.  Mutates and returns ``out``.
-    """
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.size == 0:
-        return out
-    if indices.size == 1:
-        out[indices[0]] += values[0] if values.ndim == out.ndim else values
-        return out
-    order = np.argsort(indices, kind="stable")
-    counts = np.bincount(indices, minlength=out.shape[0])
-    nonempty = counts > 0
-    starts = np.concatenate([[0], np.cumsum(counts)])[:-1][nonempty]
-    out[nonempty] += np.add.reduceat(np.asarray(values)[order], starts, axis=0)
-    return out
-
-
 class Tensor:
     """An n-dimensional array with reverse-mode automatic differentiation."""
 
@@ -609,32 +587,14 @@ class Tensor:
         out_data = self.data[indices]
 
         def backward(grad: np.ndarray) -> None:
-            full = np.zeros_like(self.data)
-            scatter_rows_add(full, indices.reshape(-1), grad.reshape((-1,) + self.shape[1:]))
-            out._send(self, full)
+            # duplicate rows accumulate through the one segment kernel;
+            # imported here because repro.nn.segment builds on Tensor
+            from repro.nn.segment import segment_sum_data
+
+            rows = grad.reshape((-1,) + self.shape[1:])
+            out._send(self, segment_sum_data(rows, indices.reshape(-1), self.shape[0]))
 
         out = Tensor._make(out_data, (self,), backward)
-        return out
-
-    def scatter_add(self, indices: np.ndarray, source: "Tensor") -> "Tensor":
-        """Return a copy of ``self`` with ``source`` rows added at ``indices``.
-
-        Kept for operator parity; graph aggregation hot paths should use
-        the fused ops in :mod:`repro.nn.segment`, which reuse a cached
-        sorted-edge layout instead of re-sorting per call.
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        source = ensure_tensor(source)
-        out_data = self.data.copy()
-        scatter_rows_add(out_data, indices, source.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                out._send(self, grad)
-            if source.requires_grad:
-                out._send(source, grad[indices])
-
-        out = Tensor._make(out_data, (self, source), backward)
         return out
 
     # comparisons produce constant tensors (no gradient)

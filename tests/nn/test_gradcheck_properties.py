@@ -64,20 +64,6 @@ class TestRandomizedGradients:
         )
         check_gradients(lambda a: a.index_select(indices), x)
 
-    @given(
-        arrays(np.float64, st.tuples(st.integers(2, 4), st.integers(1, 3)),
-               elements=small_floats),
-        st.data(),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_scatter_add_random_targets(self, src, data):
-        base = np.zeros((3, src.shape[1]))
-        indices = np.array(
-            data.draw(st.lists(st.integers(0, 2), min_size=src.shape[0],
-                               max_size=src.shape[0]))
-        )
-        check_gradients(lambda b, s: b.scatter_add(indices, s), base, src)
-
     @given(matrices())
     @settings(max_examples=10, deadline=None)
     def test_division_stable_region(self, x):

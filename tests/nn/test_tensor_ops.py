@@ -164,20 +164,6 @@ class TestIndexing:
         assert w.grad[1].sum() == pytest.approx(6.0)  # two rows x 3 entries
         assert w.grad[0].sum() == pytest.approx(0.0)
 
-    def test_scatter_add_grad(self, rng):
-        idx = np.array([0, 2, 2, 1])
-        check_gradients(
-            lambda base, src: base.scatter_add(idx, src),
-            rng.normal(size=(3, 2)),
-            rng.normal(size=(4, 2)),
-        )
-
-    def test_scatter_add_values(self):
-        base = Tensor(np.zeros((3, 2)))
-        src = Tensor(np.ones((4, 2)))
-        out = base.scatter_add(np.array([0, 0, 2, 2]), src)
-        np.testing.assert_allclose(out.data, [[2, 2], [0, 0], [2, 2]])
-
 
 class TestCombinators:
     def test_concat_grad(self, rng):
