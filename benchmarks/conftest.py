@@ -14,12 +14,10 @@ import sys
 
 import pytest
 
-# Tables are written three ways so they survive pytest's stdout capture:
-# to the real stdout (so `pytest ... | tee bench_output.txt` records them
-# live), to the captured stdout (shown on failures), and appended to
-# benchmarks_report.txt next to this file's repo root.
-_REPORT_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                            "benchmarks_report.txt")
+# Tables are written twice so they survive pytest's stdout capture: to
+# the real stdout (so `pytest ... | tee bench_output.txt` records them
+# live) and to the captured stdout (shown on failures).  The durable
+# record of every benchmark is its run-ledger entry (see emit_bench).
 
 
 @pytest.fixture(scope="session")
@@ -43,8 +41,6 @@ def print_table(title: str, rows, columns):
     print(text)
     sys.__stdout__.write(text + "\n")
     sys.__stdout__.flush()
-    with open(_REPORT_PATH, "a") as handle:
-        handle.write(text + "\n")
 
 
 def report(message: str) -> None:
@@ -52,8 +48,6 @@ def report(message: str) -> None:
     print(message)
     sys.__stdout__.write(message + "\n")
     sys.__stdout__.flush()
-    with open(_REPORT_PATH, "a") as handle:
-        handle.write(message + "\n")
 
 
 def emit_bench(name: str, measurements, *, json_path=None, dataset=None,

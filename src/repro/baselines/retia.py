@@ -24,8 +24,7 @@ from repro.core.decoder import ConvTransEDecoder
 from repro.core.evolution import l2_normalize_rows
 from repro.core.execution import EncoderState
 from repro.core.window import HistoryWindow
-from repro.graphs.line_graph import build_line_graph
-from repro.graphs.snapshot import SnapshotGraph
+from repro.graphs.line_graph import line_graph
 
 
 class RETIA(TKGBaseline):
@@ -58,26 +57,15 @@ class RETIA(TKGBaseline):
         self.relation_gru = GRUCell(dim, dim)
         self.entity_decoder = ConvTransEDecoder(dim, channels=channels, kernel_size=kernel_size, dropout=dropout)
         self.relation_decoder = ConvTransEDecoder(dim, channels=channels, kernel_size=kernel_size, dropout=dropout)
-        self._line_cache: dict = {}
 
     # ------------------------------------------------------------------
-    def _line_graph(self, graph: SnapshotGraph) -> SnapshotGraph:
-        key = id(graph)
-        cached = self._line_cache.get(key)
-        if cached is None:
-            cached = build_line_graph(graph)
-            if len(self._line_cache) > 256:  # bound the cache
-                self._line_cache.clear()
-            self._line_cache[key] = cached
-        return cached
-
     def encode(self, window: HistoryWindow) -> EncoderState:
         e_state = l2_normalize_rows(window.scope_entities(self.entity.all()))
         r_state = self.relation.all()
         modes = self.mode_embedding.all()
         for graph in window.snapshots:
             e_agg, _ = self.entity_gcn(e_state, r_state, graph)
-            line = self._line_graph(graph)
+            line = line_graph(graph)
             r_agg, _ = self.relation_gcn(r_state, modes, line)
             e_state = l2_normalize_rows(self.entity_gru(e_agg, e_state))
             r_state = self.relation_gru(r_agg, r_state)

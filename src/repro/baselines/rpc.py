@@ -30,8 +30,7 @@ from repro.core.evolution import l2_normalize_rows
 from repro.core.execution import EncoderState
 from repro.core.time_encoding import TimeEncoding
 from repro.core.window import HistoryWindow
-from repro.graphs.line_graph import build_line_graph
-from repro.graphs.snapshot import SnapshotGraph
+from repro.graphs.line_graph import line_graph
 
 
 class RPC(TKGBaseline):
@@ -65,17 +64,6 @@ class RPC(TKGBaseline):
         self.snapshot_weights = Parameter(init.zeros((max_window,)))
         self.entity_decoder = ConvTransEDecoder(dim, channels=channels, kernel_size=kernel_size, dropout=dropout)
         self.relation_decoder = ConvTransEDecoder(dim, channels=channels, kernel_size=kernel_size, dropout=dropout)
-        self._line_cache: dict = {}
-
-    def _line_graph(self, graph: SnapshotGraph) -> SnapshotGraph:
-        key = id(graph)
-        cached = self._line_cache.get(key)
-        if cached is None:
-            cached = build_line_graph(graph)
-            if len(self._line_cache) > 256:
-                self._line_cache.clear()
-            self._line_cache[key] = cached
-        return cached
 
     def encode(self, window: HistoryWindow) -> EncoderState:
         e_state = l2_normalize_rows(window.scope_entities(self.entity.all()))
@@ -85,7 +73,7 @@ class RPC(TKGBaseline):
         for graph, delta in zip(window.snapshots, window.deltas):
             conditioned = self.pcu(e_state, delta)  # periodic unit
             e_agg, _ = self.entity_gcn(conditioned, r_state, graph)
-            r_state, _ = self.rcu(r_state, modes, self._line_graph(graph))  # relational unit
+            r_state, _ = self.rcu(r_state, modes, line_graph(graph))  # relational unit
             e_state = l2_normalize_rows(self.entity_gru(e_agg, conditioned))
             states.append(e_state)
         if not states:

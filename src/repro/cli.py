@@ -16,8 +16,7 @@ Commands:
 - ``profile``   — run a few train/eval steps under the op-level
   profiler; prints the per-op table and writes a Chrome trace;
 - ``report``    — render the run ledger as trajectory tables with
-  sparklines (``--markdown``/``--html`` write static reports;
-  ``--benchmarks`` summarises a legacy benchmarks_report.txt);
+  sparklines (``--markdown``/``--html`` write static reports);
 - ``regress``   — compare the newest ledger run against its rolling
   baseline; exits 1 on regression;
 - ``table2|table3|table4|figure5`` — regenerate a paper artifact;
@@ -545,54 +544,21 @@ def cmd_degradation(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """Render the run ledger (default) or a legacy benchmarks log."""
-    if args.benchmarks is None:
-        from repro.obs.report import render_html, render_markdown, render_terminal
-        from repro.obs.runs import RunLedger, default_ledger_path
+    """Render the run ledger as trajectory tables."""
+    from repro.obs.report import render_html, render_markdown, render_terminal
+    from repro.obs.runs import RunLedger, default_ledger_path
 
-        ledger = RunLedger(args.ledger or default_ledger_path())
-        filters = dict(kind=args.kind, model=args.model, dataset=args.dataset, last=args.last)
-        print(render_terminal(ledger, **filters))
-        if args.markdown:
-            with open(args.markdown, "w", encoding="utf-8") as handle:
-                handle.write(render_markdown(ledger, **filters))
-            print(f"wrote markdown report to {args.markdown}", file=sys.stderr)
-        if args.html:
-            with open(args.html, "w", encoding="utf-8") as handle:
-                handle.write(render_html(ledger, **filters))
-            print(f"wrote html report to {args.html}", file=sys.stderr)
-        return 0
-    return _cmd_report_benchmarks(args.benchmarks)
-
-
-def _cmd_report_benchmarks(path: str) -> int:
-    """Legacy: summarise a benchmarks_report.txt as markdown tables."""
-    from repro.experiments.report import (
-        markdown_table,
-        parse_report,
-        summarize_table3,
-        summarize_table4,
-    )
-
-    tables = parse_report(path)
-    t3 = summarize_table3(tables)
-    if t3:
-        print("## Table 3 (measured MRR x100)\n")
-        models = sorted({m for scores in t3.values() for m in scores})
-        rows = [
-            {"model": m, **{d: scores.get(m, "") for d, scores in t3.items()}}
-            for m in models
-        ]
-        print(markdown_table(rows, ["model"] + list(t3)))
-    t4 = summarize_table4(tables)
-    if t4:
-        print("\n## Table 4 (measured MRR x100)\n")
-        variants = sorted({m for scores in t4.values() for m in scores})
-        rows = [
-            {"variant": v, **{d: scores.get(v, "") for d, scores in t4.items()}}
-            for v in variants
-        ]
-        print(markdown_table(rows, ["variant"] + list(t4)))
+    ledger = RunLedger(args.ledger or default_ledger_path())
+    filters = dict(kind=args.kind, model=args.model, dataset=args.dataset, last=args.last)
+    print(render_terminal(ledger, **filters))
+    if args.markdown:
+        with open(args.markdown, "w", encoding="utf-8") as handle:
+            handle.write(render_markdown(ledger, **filters))
+        print(f"wrote markdown report to {args.markdown}", file=sys.stderr)
+    if args.html:
+        with open(args.html, "w", encoding="utf-8") as handle:
+            handle.write(render_html(ledger, **filters))
+        print(f"wrote html report to {args.html}", file=sys.stderr)
     return 0
 
 
@@ -967,9 +933,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write a Markdown report")
     p.add_argument("--html", default=None, metavar="PATH",
                    help="also write a static HTML report")
-    p.add_argument("--benchmarks", nargs="?", const="benchmarks_report.txt",
-                   default=None, metavar="PATH",
-                   help="legacy mode: summarise a benchmarks_report.txt instead")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser(

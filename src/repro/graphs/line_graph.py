@@ -72,6 +72,18 @@ def build_line_graph(graph: SnapshotGraph) -> SnapshotGraph:
     )
 
 
+def line_graph(graph: SnapshotGraph) -> SnapshotGraph:
+    """Return the graph's line graph, building it at most once.
+
+    The build is memoized on the graph instance (like
+    :func:`repro.graphs.compiled.compiled`), so the memo lives and dies
+    with the snapshot and can never be served for another graph.
+    """
+    if graph._line_graph is None:
+        graph._line_graph = build_line_graph(graph)
+    return graph._line_graph
+
+
 def relation_cooccurrence_counts(graph: SnapshotGraph) -> np.ndarray:
     """(|R'|, |R'|) matrix counting shared-entity co-occurrences.
 

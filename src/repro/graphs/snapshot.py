@@ -61,6 +61,7 @@ class SnapshotGraph:
         self._active_nodes: Optional[np.ndarray] = None
         self._compiled = None  # filled by repro.graphs.compiled.compiled
         self._content_fp = None  # filled by content_fingerprint()
+        self._line_graph = None  # filled by repro.graphs.line_graph.line_graph
 
     @property
     def num_edges(self) -> int:

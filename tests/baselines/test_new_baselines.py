@@ -2,11 +2,15 @@
 (xERTE, RETIA, RPC, HGLS). The generic scoring/loss/gradient contracts
 are covered by the registry-parametrized tests in test_baselines.py."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro.baselines import HGLS, RETIA, RPC, XERTE
-from repro.core.window import WindowBuilder
+from repro.core.window import HistoryWindow, WindowBuilder
+from repro.graphs.line_graph import build_line_graph
+from repro.graphs.snapshot import build_snapshot
 
 E, R = 12, 4
 
@@ -58,9 +62,13 @@ class TestRETIA:
         model = RETIA(E, R, dim=8)
         window, queries = _window()
         model.predict_entities(window, queries)
-        cached = len(model._line_cache)
+        memos = [graph._line_graph for graph in window.snapshots]
+        assert all(memo is not None for memo in memos)
         model.predict_entities(window, queries)
-        assert len(model._line_cache) == cached  # same graphs, no growth
+        # same snapshots, same memoized line graphs: built once each
+        assert all(
+            graph._line_graph is memo for graph, memo in zip(window.snapshots, memos)
+        )
 
     def test_relation_representations_evolve(self):
         model = RETIA(E, R, dim=8)
@@ -68,6 +76,41 @@ class TestRETIA:
         window, _ = _window()
         state = model.encode(window)
         assert not np.allclose(state.relation_matrix.data, model.relation.weight.data)
+
+
+@pytest.mark.parametrize("model_cls, layer", [(RETIA, "relation_gcn"), (RPC, "rcu")])
+def test_line_graph_never_served_for_another_snapshot(model_cls, layer, monkeypatch):
+    """Snapshots are built and dropped one after another, so CPython
+    recycles their ids; the line graph the relation layer receives must
+    still be the current snapshot's, every step."""
+    model = model_cls(E, R, dim=8)
+    model.eval()
+    relation_layer = getattr(model, layer)
+    forward = relation_layer.forward
+    served = []
+
+    def recording_forward(states, modes, graph):
+        served.append(graph)
+        return forward(states, modes, graph)
+
+    monkeypatch.setattr(relation_layer, "forward", recording_forward)
+    rng = np.random.default_rng(0)
+    for step in range(200):
+        quads = np.stack([
+            rng.integers(0, E, 6), rng.integers(0, R, 6),
+            rng.integers(0, E, 6), np.full(6, step),
+        ], axis=1)
+        graph = build_snapshot(quads, E, R)
+        window = HistoryWindow(
+            snapshots=[graph], merged=[], deltas=[1.0],
+            global_graph=None, prediction_time=step + 1,
+        )
+        with model.inference_mode():
+            model.encode(window)
+        line, fresh = served.pop(), build_line_graph(graph)
+        np.testing.assert_array_equal(line.triples(), fresh.triples(), err_msg=str(step))
+        del graph, window, line, fresh
+        gc.collect()
 
 
 class TestRPC:

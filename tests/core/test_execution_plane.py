@@ -301,13 +301,22 @@ class TestFloat64Parity:
             warmup_splits=(tiny_dataset.train,), max_timestamps=3, plan=plan,
         )
         misses_after_entities = plan.cache.misses
-        evaluator.evaluate_relations(
+        cached = evaluator.evaluate_relations(
             model, builder, tiny_dataset.valid,
             warmup_splits=(tiny_dataset.train,), max_timestamps=3, plan=plan,
         )
         # the relation walk replays identical windows: decode-only
         assert plan.cache.misses == misses_after_entities
         assert plan.cache.hits >= n
+
+        # decoding from cached states never changes numbers: bitwise
+        live = evaluator.evaluate_relations(
+            model, builder, tiny_dataset.valid,
+            warmup_splits=(tiny_dataset.train,), max_timestamps=3,
+            plan=ExecutionPlan(model, cache=None),
+        )
+        assert cached.mrr == live.mrr
+        assert cached.ranks.tolist() == live.ranks.tolist()
 
 
 class TestServingRoute:

@@ -9,6 +9,9 @@ The acceptance-critical properties:
 - **bitwise parity**: the grouped blocked decode equals the
   per-timestamp encode-once path bitwise (float64) for every registered
   model, entities and relations;
+- **blocked-replay fence** (ulp-bounded): at ``icews14s_small`` shape
+  the blocked decode matches the per-batch encode-once path to 1e-12
+  and ranks identically outside a tie margin;
 - **sampled evaluation fence**: an evaluation walk through a
   :class:`ScopedExecutionPlan` with exhaustive fanouts is bitwise-equal
   to the full-plan walk, and capped fanouts complete;
@@ -36,6 +39,7 @@ from repro.core.execution import (
 )
 from repro.core.forecaster import Forecaster
 from repro.core.window import WindowBuilder
+from repro.data import generate_dataset
 from repro.graphs.sampler import NeighborSampler
 from repro.training import TimelineEvaluator, seed_everything
 from repro.training.evaluator import build_time_filter
@@ -206,6 +210,60 @@ class TestBlockedDecodeParity:
         for (want_e, want_r), (_, have_e, have_r) in zip(expected, got):
             np.testing.assert_array_equal(np.asarray(want_e), np.asarray(have_e))
             np.testing.assert_array_equal(np.asarray(want_r), np.asarray(have_r))
+
+
+class TestBlockedReplayFence:
+    def test_blocked_replay_matches_per_batch(self):
+        """Blocked grouped decode vs per-batch encode-once decode on a
+        replay walk at ``icews14s_small`` shape (RE-GCN, d=32).
+
+        Each timestamp's queries arrive as batches of 4 against one
+        unmoving window, so consecutive steps share a fingerprint and
+        the batcher scores a whole timestamp as one group.  This fence
+        is ulp-bounded, not bitwise: the group's taller decode matmul
+        lands on a different BLAS kernel than the 4-row one, which can
+        move the last bit.  Scores must agree to 1e-12, and rank counts
+        must agree exactly once exact ties are margined out.  (Bitwise
+        equality at fixed shapes is the parity test above.)
+        """
+        seed_everything(11)
+        dataset = generate_dataset("icews14s_small")
+        model = build_model("regcn", dataset.num_entities, dataset.num_relations, dim=32)
+        model.eval()
+        evaluator = TimelineEvaluator(dataset)
+        builder = WindowBuilder(
+            dataset.num_entities, dataset.num_relations,
+            history_length=3, use_global=False,
+        )
+        for _, quads in sorted(dataset.train.facts_by_time().items()):
+            builder.absorb(quads)
+        steps = []
+        for t, quads in sorted(dataset.valid.facts_by_time().items()) + sorted(
+            dataset.test.facts_by_time().items()
+        ):
+            queries = evaluator.queries_with_inverse(quads)
+            window = builder.window_for(queries, prediction_time=int(t))
+            for chunk in np.array_split(queries, max(1, len(queries) // 4)):
+                steps.append(TimelineStep(int(t), window, chunk))
+            builder.absorb(quads)
+
+        per_batch = ExecutionPlan(model, cache=EncoderStateCache(capacity=16, owner="per_batch"))
+        expected = [per_batch.entity_scores(s.window, s.queries) for s in steps]
+        blocked = ExecutionPlan(model, cache=EncoderStateCache(capacity=16, owner="blocked"))
+        batcher = TimelineBatcher(blocked, num_entities=dataset.num_entities, owner="replay")
+        got = [rows for _, rows, _ in batcher.run(iter(steps), entities=True)]
+
+        assert len(got) == len(expected)
+        margin = 1e-9
+        for step, want, have in zip(steps, expected, got):
+            np.testing.assert_allclose(have, want, rtol=0, atol=1e-12)
+            objects = step.queries[:, 2]
+            gold = want[np.arange(len(objects)), objects][:, None]
+            # an exact tie sits on the `>` boundary, where a one-ulp
+            # kernel difference flips the count: margin ties out
+            assert ((want > gold + margin).sum(axis=1)
+                    == (have > gold + margin).sum(axis=1)).all()
+        assert batcher.last_stats["groups"] < batcher.last_stats["steps"]
 
 
 class TestEvaluatorBatchedWalk:
