@@ -100,7 +100,14 @@ class LogCL(TKGBaseline):
 
     # ------------------------------------------------------------------
     def encode(self, window: HistoryWindow) -> EncoderState:
-        """Both views; fused is the main matrix, (local, global) ride in aux."""
+        """Both views; fused is the main matrix, (local, global) ride in aux.
+
+        Exactly :meth:`encode_history` then :meth:`encode_query`.
+        """
+        return self.encode_query(window, self.encode_history(window))
+
+    def encode_history(self, window: HistoryWindow) -> EncoderState:
+        """Step one, query-independent: the local view and R_t."""
         e_local, _, relation_matrix = self.local_encoder(
             window.scope_entities(self.entity.all()),
             self.relation.all(),
@@ -108,6 +115,11 @@ class LogCL(TKGBaseline):
             [],
             window.deltas,
         )
+        return self._make_state(window, e_local, relation_matrix)
+
+    def encode_query(self, window: HistoryWindow, history: EncoderState) -> EncoderState:
+        """Step two: entity-aware attention over G^H_t and the fusion."""
+        e_local, relation_matrix = history.entity_matrix, history.relation_matrix
         e_global = e_local
         if window.global_graph is not None:
             for layer in self.global_layers:

@@ -11,11 +11,20 @@ contract instead of a private detail of each model:
   (``aux``) and integer (``int_aux``) decode inputs, plus the window
   fingerprint, model version, and dtype they were computed under.
   Every model speaks this protocol, so every state is cacheable.
-- :class:`EncoderStateCache` — LRU over encoder states, keyed on the
-  window content fingerprint + model version + dtype, with hit/miss/
-  evict counters on the :mod:`repro.obs` registry (a
-  :class:`~repro.obs.lru.BoundedLRU`) and a span around every live
-  encode.
+- **Split encoders** (:func:`is_split_encoder`: HisRES, LogCL) encode
+  in two steps.  ``encode_history`` runs the query-independent half
+  (the evolution and the Eq. 8 gate for HisRES); ``encode_query`` runs
+  the stage that reads G^H_t over that history state.  Their
+  ``encode`` is exactly the one then the other, so training, the
+  evaluator and the scoped plan run one op sequence.
+- :class:`EncoderStateCache` — LRU over encoder states, keyed on
+  model key + model version + dtype + a window fingerprint, with
+  hit/miss/evict counters on the :mod:`repro.obs` registry (a
+  :class:`~repro.obs.lru.BoundedLRU`) and an ``encoder.encode`` span
+  (attribute ``stage``) around every live stage.  A split encoder's
+  history state is cached under the stage-tagged key
+  ``("history", window.history_fingerprint())``, so a new query set on
+  an unchanged history pays only the query stage.
 - :class:`ExecutionPlan` — the one code path that turns a window into
   scores.  The evaluator, forecaster, serving engine, and trainer all
   go through a plan; training losses still encode live under grad,
@@ -29,8 +38,8 @@ contract instead of a private detail of each model:
   the per-timestamp path, decode-call count divided by group size.
 
 See ``docs/execution_plane.md`` for the cache-keying rules, in
-particular why the globally relevant graph makes the fingerprint
-query-set-dependent, and for the batched-walk grouping invariants.
+particular the two-part (history, query) window fingerprint, and for
+the batched-walk grouping invariants.
 """
 
 from __future__ import annotations
@@ -189,16 +198,56 @@ def make_state(
     )
 
 
+def is_split_encoder(model) -> bool:
+    """Whether ``model`` encodes in two steps.
+
+    A split encoder (HisRES, LogCL) implements ``encode_history(window)``
+    over the query-independent inputs
+    (:meth:`~repro.core.window.HistoryWindow.history_fingerprint`) and
+    ``encode_query(window, history_state)`` for the stage that reads
+    G^H_t; its ``encode(window)`` is exactly the one then the other.
+    """
+    return callable(getattr(model, "encode_query", None))
+
+
+def _live_stage(model, stage: str, owner: str, encode, *args) -> EncoderState:
+    """One live encode stage (eval + no-grad) under its own span."""
+    with span("encoder.encode", owner=owner, stage=stage):
+        with model.inference_mode():
+            return encode(*args)
+
+
+def _encode_stages(model, window: HistoryWindow, owner: str) -> EncoderState:
+    """One uncached encode, each stage under its own (non-nested) span."""
+    if not is_split_encoder(model):
+        return _live_stage(model, "full", owner, model.encode, window)
+    history = _live_stage(model, "history", owner, model.encode_history, window)
+    return _live_stage(model, "query", owner, model.encode_query, window, history)
+
+
 class EncoderStateCache(BoundedLRU):
     """Thread-safe LRU over :class:`EncoderState` instances.
 
-    Keys are ``(model_key, model_version, dtype, window fingerprint)``:
-    a weight update, a dtype switch, or any change to the window
-    content each make earlier entries unreachable.  A
+    Keys are ``(model_key, model_version, dtype, fingerprint)``: a
+    weight update, a dtype switch, or any change to the window content
+    each make earlier entries unreachable.  A
     :class:`~repro.obs.lru.BoundedLRU` with ``cache="encoder_state"``,
     so ``stats()`` and the serving ``/metrics`` endpoint read the same
     registry series.
+
+    A split encoder (:func:`is_split_encoder`) gets two entries per
+    window: its history state under the stage-tagged fingerprint
+    ``("history", window.history_fingerprint())``, shared by every
+    query set on that history, and its full state under
+    ``window.fingerprint()``.  Each :meth:`get_or_encode` counts one hit
+    or miss: a split encoder's full-state lookup counts only hits, since
+    missing it costs just the query stage, and the history lookup behind
+    it counts either.  Live stages are counted as the events
+    ``encode_full`` / ``encode_history`` / ``encode_query`` on the same
+    series.
     """
+
+    STAGES = ("full", "history", "query")
 
     def __init__(self, capacity: int = 16, owner: str = "plan"):
         super().__init__(capacity, cache="encoder_state", owner=owner)
@@ -206,41 +255,83 @@ class EncoderStateCache(BoundedLRU):
     def _key(self, model, model_key: str, fingerprint: Hashable) -> Hashable:
         return (model_key, model.version, str(get_default_dtype()), fingerprint)
 
-    def _encode_live(self, model, window: HistoryWindow, fingerprint: Hashable) -> EncoderState:
-        """One real encode (eval + no-grad), stamped with the fingerprint."""
-        with span("encoder.encode", owner=self.owner):
-            with model.inference_mode():
-                state = model.encode(window)
+    def _encode_stage(
+        self, model, stage: str, fingerprint: Hashable, encode, *args
+    ) -> EncoderState:
+        """One counted live stage, stamped with ``fingerprint``."""
+        state = _live_stage(model, stage, self.owner, encode, *args)
+        self.record(f"encode_{stage}")
         return replace(state, fingerprint=fingerprint)
+
+    def _cached_or_encode(self, key: Hashable, encode: Callable[[], EncoderState]) -> EncoderState:
+        """The expensive stage's lookup: the state under ``key``, else
+        ``encode()`` stored there.  The shared tier overrides it
+        (memory -> disk -> single-flight encode)."""
+        state = self.get(key)
+        if state is None:
+            state = encode()
+            self.put(key, state)
+        return state
 
     def cached_state(
         self, model, window: HistoryWindow, model_key: str = "model"
     ) -> Optional[EncoderState]:
-        """Membership probe: the cached state for ``window``, or None.
+        """Membership probe: the cached full state for ``window``, or None.
 
         Unlike :meth:`get_or_encode` this never encodes and never counts
-        a miss — serving uses it to decide whether a cold window should
-        fall back to the scoped (sampled) plan instead of paying a full
-        encode on the request path.  A present state still counts (and
-        refreshes) as a hit.
+        a miss.  A present state still counts (and refreshes) as a hit.
         """
         return self.peek(self._key(model, model_key, window.fingerprint()))
 
-    def get_or_encode(self, model, window: HistoryWindow, model_key: str = "model") -> EncoderState:
-        """Return the cached state for ``window`` or run one live encode.
+    def is_warm(self, model, window: HistoryWindow, model_key: str = "model") -> bool:
+        """Whether :meth:`get_or_encode` would skip the expensive stage.
 
-        The live encode runs under the model's inference mode (eval +
+        True when the full state is in memory or, for a split encoder,
+        its history state is (the query stage left is cheap).  Serving
+        uses it to decide whether a cold window should fall back to the
+        scoped (sampled) plan instead of paying a full encode on the
+        request path.  Counts like :meth:`cached_state`.
+        """
+        if self.cached_state(model, window, model_key) is not None:
+            return True
+        if not is_split_encoder(model):
+            return False
+        history_key = self._key(model, model_key, ("history", window.history_fingerprint()))
+        return self.peek(history_key) is not None
+
+    def get_or_encode(self, model, window: HistoryWindow, model_key: str = "model") -> EncoderState:
+        """Return the cached state for ``window`` or encode what is missing.
+
+        Live stages run under the model's inference mode (eval +
         no-grad): cached states must never carry training-mode dropout
         noise or autograd graphs.  Training losses never come through
         here — they encode live under grad inside ``model.loss``.
         """
         fingerprint = window.fingerprint()
         key = self._key(model, model_key, fingerprint)
-        state = self.get(key)
+        if not is_split_encoder(model):
+            return self._cached_or_encode(
+                key, lambda: self._encode_stage(model, "full", fingerprint, model.encode, window)
+            )
+        state = self.peek(key)
         if state is None:
-            state = self._encode_live(model, window, fingerprint)
+            history_fp = ("history", window.history_fingerprint())
+            history = self._cached_or_encode(
+                self._key(model, model_key, history_fp),
+                lambda: self._encode_stage(
+                    model, "history", history_fp, model.encode_history, window
+                ),
+            )
+            state = self._encode_stage(
+                model, "query", fingerprint, model.encode_query, window, history
+            )
             self.put(key, state)
         return state
+
+    def stats(self) -> Dict[str, Any]:
+        stats = super().stats()
+        stats["encodes"] = {stage: self.count(f"encode_{stage}") for stage in self.STAGES}
+        return stats
 
 
 class ExecutionPlan:
@@ -265,9 +356,7 @@ class ExecutionPlan:
         """Encode ``window`` through the cache (eval + no-grad)."""
         if self.cache is not None:
             return self.cache.get_or_encode(self.model, window, model_key=self.model_key)
-        with span("encoder.encode", owner=self.model_key):
-            with self.model.inference_mode():
-                return self.model.encode(window)
+        return _encode_stages(self.model, window, owner=self.model_key)
 
     def entity_scores(self, window: HistoryWindow, queries: np.ndarray) -> np.ndarray:
         """Entity score matrix (n, |E|) as a plain array."""
@@ -467,9 +556,7 @@ class ScopedExecutionPlan:
         if cache is not None:
             state = cache.get_or_encode(self.model, induced, model_key=self.plan.model_key)
         else:
-            with span("encoder.encode", owner=f"{self.plan.model_key}.scoped"):
-                with self.model.inference_mode():
-                    state = self.model.encode(induced)
+            state = _encode_stages(self.model, induced, owner=f"{self.plan.model_key}.scoped")
         with self.model.inference_mode():
             return self._scatter_state(state, induced)
 
@@ -526,7 +613,7 @@ class ScopedExecutionPlan:
             self.identity_encodes += 1
             return self.plan.loss(window, queries)
         self.scoped_encodes += 1
-        with span("encoder.encode", owner=f"{self.plan.model_key}.scoped_loss"):
+        with span("encoder.encode", owner=f"{self.plan.model_key}.scoped_loss", stage="full"):
             state = self.model.encode(induced)
         return self.model.decode_loss(self._scatter_state(state, induced), queries)
 

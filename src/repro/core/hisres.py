@@ -82,7 +82,20 @@ class HisRES(Module):
 
     # ------------------------------------------------------------------
     def encode(self, window: HistoryWindow) -> EncoderState:
-        """Run both encoders; state holds (E^phi_t, R_t)."""
+        """Run both encoders; state holds (E^phi_t, R_t).
+
+        Exactly :meth:`encode_history` then :meth:`encode_query`, so a
+        cached history state followed by the query step is the same op
+        sequence as this live call.
+        """
+        return self.encode_query(window, self.encode_history(window))
+
+    def encode_history(self, window: HistoryWindow) -> EncoderState:
+        """Step one, query-independent: state holds (E_t after Eq. 8, R_t).
+
+        Reads only the snapshots, merged graphs and deltas (covered by
+        :meth:`~repro.core.window.HistoryWindow.history_fingerprint`).
+        """
         cfg = self.config
         e_init = window.scope_entities(self.entity_embedding.all())
         r_init = self.relation_embedding.all()
@@ -97,8 +110,12 @@ class HisRES(Module):
                 e_local = e_intra
         else:
             e_local, r_out = e_init, r_init
+        return make_state(self, window, e_local, r_out)
 
-        if cfg.use_global and window.global_graph is not None:
+    def encode_query(self, window: HistoryWindow, history: EncoderState) -> EncoderState:
+        """Step two: the global stage over G^H_t and its Eq. 13 gate."""
+        e_local, r_out = history.entity_matrix, history.relation_matrix
+        if self.config.use_global and window.global_graph is not None:
             e_global = self.global_encoder(e_local, r_out, window.global_graph)
             e_final = self.global_gate(e_global, e_local)  # Eq. 13
         else:

@@ -19,6 +19,10 @@ Graph builds are cached at the window level so they are paid once per
   history version plus the query-pair set, so repeated queries within
   one window version (ablation sweeps, serving micro-batches) reuse the
   materialised G^H_t.
+
+A window's content key splits the same way (:meth:`HistoryWindow.fingerprint`):
+a history part every query set on one builder state shares, and a
+query part over G^H_t and the vocabulary index.
 """
 
 from __future__ import annotations
@@ -104,33 +108,51 @@ class HistoryWindow:
         together with the model version and dtype — to key the
         :class:`~repro.core.execution.EncoderStateCache`.
 
-        The globally relevant graph G^H_t is built from the *query
-        pairs*, so windows assembled for different query sets generally
-        fingerprint differently — unless their G^H content coincides
-        (e.g. pairs with no indexed history yield the same empty
-        graph), which is exactly when sharing an encode is sound.  The
-        vocabulary index is scoped to the query pairs the same way and
-        is covered by content, so a vocabulary-only change (same graphs,
-        different history behind the pairs) changes the fingerprint.
-        Memoized per window instance;
-        the per-graph content fingerprints are memoized per graph, so
-        replayed timelines (which reuse cached graph instances) pay the
-        hashing once.
+        The key has two parts, ``(history, query)``:
+
+        - :meth:`history_fingerprint` covers the snapshots, the merged
+          graphs, the deltas and ``local_nodes``: everything the
+          query-independent half of an encoder reads;
+        - the query part covers the globally relevant graph G^H_t and
+          the vocabulary index, both built from the *query pairs*, so
+          windows assembled for different query sets on one history
+          share the history part and generally differ here — unless
+          their G^H content coincides (e.g. pairs with no indexed
+          history yield the same empty graph), which is exactly when
+          sharing an encode is sound.  A vocabulary-only change (same
+          graphs, different history behind the pairs) changes it too.
+
+        Memoized per window instance; the per-graph content fingerprints
+        are memoized per graph, so replayed timelines (which reuse
+        cached graph instances) pay the hashing once.
         """
         if self._fingerprint is None:
-            self._fingerprint = (
+            history = (
                 tuple(g.content_fingerprint() for g in self.snapshots),
                 tuple(g.content_fingerprint() for g in self.merged),
                 tuple(float(d) for d in self.deltas),
-                None if self.global_graph is None else self.global_graph.content_fingerprint(),
                 None
                 if self.local_nodes is None
                 else (int(len(self.local_nodes)), stable_array_digest(self.local_nodes)),
+            )
+            query = (
+                None if self.global_graph is None else self.global_graph.content_fingerprint(),
                 None
                 if self.vocabulary is None
                 else tuple((len(a), stable_array_digest(a)) for a in self.vocabulary),
             )
+            self._fingerprint = (history, query)
         return self._fingerprint
+
+    def history_fingerprint(self) -> tuple:
+        """The query-independent part of :meth:`fingerprint`.
+
+        Equal for every window one builder state assembles at one
+        prediction time, whatever the query set; changed by every
+        :meth:`WindowBuilder.absorb`.  Split encoders (HisRES, LogCL)
+        cache their history state under it.
+        """
+        return self.fingerprint()[0]
 
 
 class WindowBuilder:

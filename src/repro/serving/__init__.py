@@ -9,7 +9,8 @@ package serves *live* extrapolation traffic from a trained checkpoint:
   micro-batched ``predict_entities`` calls, top-k extraction;
 - :func:`create_server` / :class:`ServingServer` — stdlib JSON-over-
   HTTP frontend (``/ingest``, ``/predict``, ``/health``, ``/stats``);
-- :class:`ServingClient` — urllib client (used by ``repro.cli``).
+- :class:`ServingClient` — JSON client over persistent per-thread
+  HTTP/1.1 connections (used by ``repro.cli``, the router, perfbench).
 
 Scale-out (same HTTP surface, N decode processes — see
 ``docs/serving_cluster.md``):

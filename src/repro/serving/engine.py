@@ -5,8 +5,9 @@
 things a server needs that the offline stack does not have:
 
 - a **prediction cache** — score vectors keyed on ``(model, s, r,
-  window_version)``; a hit skips the forward pass entirely and the key
-  scheme makes every entry self-invalidating on snapshot rollover;
+  window_version)``; a hit skips the forward pass entirely, and the
+  cache is cleared when the window version (or the model version)
+  advances, since a rolling store never asks for an old version again;
 - a **micro-batcher** — concurrent ``predict`` calls from the threaded
   HTTP frontend coalesce into *one* decode pass (the per-query cost is
   dominated by the shared graph encoding, so batching is nearly free
@@ -14,9 +15,12 @@ things a server needs that the offline stack does not have:
 
 Beneath the per-pair prediction cache sits the **encoder-state cache**
 (:class:`repro.core.execution.EncoderStateCache`): a prediction-cache
-miss still reuses the expensive window encode whenever the window
-*content* is unchanged — e.g. distinct cold (s, r) pairs on a quiet
-window share one encoder state and differ only in the cheap decode.
+miss still reuses the expensive part of the encode whenever the history
+is unchanged.  For HisRES and LogCL, whose G^H_t stage reads the query
+pairs, distinct cold pair sets on one window version share one history
+state and each new pair set pays only that stage (a few percent of the
+encode) plus the decode; every other model shares one whole encoder
+state per window content.
 """
 
 from __future__ import annotations
@@ -163,9 +167,11 @@ class InferenceEngine:
             worker replicas consult the shared on-disk tier before
             encoding.  Overrides ``state_cache_entries``.
         scoped_cold_start: fan-out spec (e.g. ``"8,4"``) enabling the
-            sampled cold-miss path: when the state cache holds no full
-            encode for the current window, the request decodes through
-            the :class:`~repro.core.execution.ScopedExecutionPlan`
+            sampled cold-miss path: when the state cache holds neither
+            the full state nor a split encoder's history state for the
+            current window (``EncoderStateCache.is_warm``), the request
+            decodes through the
+            :class:`~repro.core.execution.ScopedExecutionPlan`
             (cost bounded by the batch's fan-in, not entity count)
             while a background thread warms the full encode.  None (the
             default) keeps every request on the full-graph plan.
@@ -190,6 +196,9 @@ class InferenceEngine:
         # process-unique label of this engine's counter series
         self.instance = new_instance("engine")
         self.cache = BoundedLRU(cache_entries, cache="prediction", owner="serving")
+        # (model.version, window_version) the prediction cache holds
+        self._cache_versions: Tuple[int, int] = (-1, -1)
+        self._cache_lock = threading.Lock()
         if state_cache is not None:
             self.state_cache = state_cache
         else:
@@ -341,6 +350,18 @@ class InferenceEngine:
         """
         return (self.model_key, self.model.version) + pair + (version,)
 
+    def _drop_superseded(self, version: int) -> None:
+        """Clear the prediction cache once the window or model version
+        advances: its keys carry both, so older entries can never hit
+        again.  Versions only grow, so a batch that read an older
+        version never clears newer entries."""
+        versions = (self.model.version, version)
+        with self._cache_lock:
+            if versions <= self._cache_versions:
+                return
+            self._cache_versions = versions
+        self.cache.clear()
+
     @property
     def last_batch_info(self) -> Optional[Dict[str, object]]:
         """How the calling thread's most recent request was answered.
@@ -361,6 +382,7 @@ class InferenceEngine:
         batch size, prediction-cache misses).
         """
         version = self.store.window_version
+        self._drop_superseded(version)
         results: Dict[Tuple[int, int], np.ndarray] = {}
         todo: List[Tuple[int, int]] = []
         for pair in dict.fromkeys(pairs):  # dedup, keep order
@@ -380,8 +402,8 @@ class InferenceEngine:
             with span("engine.predict_batch", batch=len(pairs), misses=len(todo)):
                 with self._model_lock:
                     window = self.store.window_for(queries)
-                    scoped = self.scoped_plan is not None and (
-                        self.state_cache.cached_state(self.model, window, self.model_key) is None
+                    scoped = self.scoped_plan is not None and not self.state_cache.is_warm(
+                        self.model, window, self.model_key
                     )
                     # cold miss: answer from the sampled fan-in closure
                     # now, warm the full encode off-path; either way the
@@ -420,6 +442,7 @@ class InferenceEngine:
         """Pre-score ``pairs`` against ``window`` into the prediction cache."""
         if not pairs:
             return 0
+        self._drop_superseded(version)
         queries = np.zeros((len(pairs), 4), dtype=np.int64)
         for i, (s, r) in enumerate(pairs):
             queries[i, 0] = s

@@ -45,14 +45,10 @@ from repro.obs.trace import TraceContext, get_tracer, span, tracing_enabled
 from repro.serving.audit import AUDIT_DEFAULT_CAPACITY, RequestAudit
 from repro.serving.client import ServingClient, ServingError
 from repro.serving.federation import ClusterMetricsFederator
-from repro.serving.server import (
-    REQUEST_ID_HEADER,
-    BadRequest,
-    BaseJSONHandler,
-    DrainableHTTPServer,
-)
+from repro.serving.server import REQUEST_ID_HEADER, BaseJSONHandler, DrainableHTTPServer
 from repro.serving.shard import EntityShard
 from repro.serving.stats import ServerStats
+from repro.serving.validation import BadRequest, parse_ingest, parse_predict
 
 
 class IngestJournal:
@@ -102,6 +98,9 @@ class WorkerRef:
         self.set_url(url, timeout=timeout)
 
     def set_url(self, url: str, timeout: float = 30.0) -> None:
+        previous = getattr(self, "client", None)
+        if previous is not None:
+            previous.close()
         self.url = url.rstrip("/")
         self.client = ServingClient(self.url, timeout=timeout)
 
@@ -133,6 +132,7 @@ class ClusterRouter:
             WorkerRef(url, shard, timeout=timeout_s) for url, shard in workers
         ]
         self.journal = IngestJournal()
+        self._vocabulary: Optional[Tuple[int, int]] = None
         self._pool = ThreadPoolExecutor(
             max_workers=len(self.workers), thread_name_prefix="scatter"
         )
@@ -161,9 +161,29 @@ class ClusterRouter:
     # ------------------------------------------------------------------
     def close(self) -> None:
         self._pool.shutdown(wait=False)
+        for worker in self.workers:
+            worker.client.close()
 
     def live_workers(self) -> List[WorkerRef]:
         return [w for w in self.workers if w.alive]
+
+    def vocabulary(self) -> Tuple[int, int]:
+        """``(num_entities, num_relations)``, read once from a worker's /health.
+
+        The router validates request bodies against it before any
+        scatter, exactly as a single-process server does.
+        """
+        if self._vocabulary is None:
+            for worker in self.live_workers():
+                try:
+                    health = worker.client.health()
+                except ServingError:
+                    continue
+                self._vocabulary = (int(health["num_entities"]), int(health["num_relations"]))
+                break
+            else:
+                raise ServingError(503, "no shard worker is reachable")
+        return self._vocabulary
 
     def revive(self, worker: WorkerRef, url: Optional[str] = None) -> None:
         """Put a restarted worker back into the scatter set."""
@@ -239,10 +259,21 @@ class ClusterRouter:
                 payload, leg_ms = future.result()
                 leg["latency_ms"] = round(leg_ms, 3)
                 results.append((worker, payload, leg))
-            except Exception:
+            except Exception as exc:
                 leg["ok"] = False
+                if isinstance(exc, ServingError) and 400 <= exc.status < 500:
+                    leg["rejected"] = str(exc)
                 results.append((worker, None, leg))
         return results
+
+    @staticmethod
+    def _raise_unanswered(results, message: str) -> None:
+        """No leg answered: a 4xx when every worker rejected the body
+        (e.g. an out-of-order ingest), else a 503."""
+        rejected = [leg.get("rejected") for _, _, leg in results]
+        if rejected and all(rejected):
+            raise BadRequest(rejected[0])
+        raise ServingError(503, message)
 
     def _adopt_spans(self, results: List[Tuple[WorkerRef, Optional[Dict], Dict]]) -> None:
         """Stitch worker-returned span records into the router's tracer."""
@@ -276,7 +307,7 @@ class ClusterRouter:
             if missing:
                 detail["partial"] = True
         if not ok:
-            raise ServingError(503, "no worker accepted the ingest")
+            self._raise_unanswered(results, "no worker accepted the ingest")
         self.journal.append(body)
         merged = dict(ok[0])
         if missing:
@@ -312,7 +343,7 @@ class ClusterRouter:
             if missing:
                 detail["partial"] = True
         if not answered:
-            raise ServingError(503, "no shard worker is reachable")
+            self._raise_unanswered(results, "no shard worker is reachable")
 
         merged_rows = []
         for qi, query in enumerate(queries):
@@ -404,12 +435,8 @@ class RouterHandler(BaseJSONHandler):
         )
 
     def _handle_ingest(self):
-        body = self._read_json()
-        if ("events" in body) == ("quads" in body):
-            raise BadRequest("provide exactly one of 'events' (with 'timestamp') or 'quads'")
-        if "events" in body and "timestamp" not in body:
-            raise BadRequest("'events' requires a 'timestamp'")
         try:
+            body = parse_ingest(self._read_json(), *self.router.vocabulary())
             return (
                 self.router.ingest(
                     body, request_id=self.request_id, detail=self.audit_detail
@@ -420,30 +447,13 @@ class RouterHandler(BaseJSONHandler):
             return {"error": str(exc)}, 503
 
     def _handle_predict(self):
-        body = self._read_json()
-        single = "queries" not in body
-        if single:
-            if "subject" not in body or "relation" not in body:
-                raise BadRequest("'subject' and 'relation' are required")
-            queries = [
-                {
-                    "subject": int(body["subject"]),
-                    "relation": int(body["relation"]),
-                    "inverse": bool(body.get("inverse", False)),
-                    "top_k": int(body.get("top_k", 10)),
-                }
-            ]
-        else:
-            queries = body["queries"]
-            if not isinstance(queries, list) or not queries:
-                raise BadRequest("'queries' must be a non-empty list")
-            for q in queries:
-                if not isinstance(q, dict) or "subject" not in q or "relation" not in q:
-                    raise BadRequest("each query needs 'subject' and 'relation'")
         try:
+            queries, default_top_k, single = parse_predict(
+                self._read_json(), *self.router.vocabulary()
+            )
             response = self.router.predict(
                 queries,
-                default_top_k=int(body.get("top_k", 10)),
+                default_top_k=default_top_k,
                 request_id=self.request_id,
                 detail=self.audit_detail,
             )

@@ -39,6 +39,7 @@ import json
 import logging
 import os
 import signal
+import socket
 import threading
 import time
 import uuid
@@ -54,8 +55,13 @@ from repro.obs.runs import RunLedger, default_ledger_path
 from repro.serving.audit import AUDIT_DEFAULT_CAPACITY, RequestAudit
 from repro.serving.engine import InferenceEngine
 from repro.serving.stats import ServerStats
+from repro.serving.validation import BadRequest, parse_ingest, parse_predict
 
 MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: Seconds a kept-alive connection may sit idle before the server
+#: closes it (and frees its handler thread).
+IDLE_TIMEOUT_S = 30.0
 
 #: Structured access-log stream: one ``http.access`` event per request
 #: (request id, trace id, route, status, latency).  NullHandler by
@@ -71,10 +77,6 @@ def new_request_id() -> str:
     return uuid.uuid4().hex[:16]
 
 
-class BadRequest(ValueError):
-    """Client error: malformed JSON or invalid fields (HTTP 400)."""
-
-
 class DrainableHTTPServer(ThreadingHTTPServer):
     """Threading HTTP server with in-flight tracking and graceful drain.
 
@@ -84,6 +86,10 @@ class DrainableHTTPServer(ThreadingHTTPServer):
     ``drain(timeout)`` blocks until the in-flight count reaches zero
     (or the timeout passes) — after it returns, ``shutdown()`` +
     ``server_close()`` cannot cut off a response mid-write.
+
+    Connections are kept alive between requests, so ``server_close()``
+    also shuts down every established connection: a closed server is
+    unreachable even to a client holding an open socket.
     """
 
     daemon_threads = True
@@ -94,6 +100,28 @@ class DrainableHTTPServer(ThreadingHTTPServer):
         self._inflight_lock = threading.Lock()
         self._idle = threading.Condition(self._inflight_lock)
         self._draining = threading.Event()
+        self._open_sockets: set = set()
+        self._sockets_lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        with self._sockets_lock:
+            self._open_sockets.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._sockets_lock:
+            self._open_sockets.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._sockets_lock:
+            sockets = list(self._open_sockets)
+        for sock in sockets:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed by its handler thread
 
     @property
     def draining(self) -> bool:
@@ -181,6 +209,11 @@ class BaseJSONHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serving"
+    #: Keep-alive: headers and body go out in two writes, which would
+    #: stall on the peer's delayed ACK under Nagle's algorithm.
+    disable_nagle_algorithm = True
+    #: Socket timeout; an idle kept-alive connection is closed after it.
+    timeout = IDLE_TIMEOUT_S
 
     #: Routes refused (503) once draining begins — mutating or
     #: long-running work; health/stats/metrics stay available so the
@@ -202,6 +235,7 @@ class BaseJSONHandler(BaseHTTPRequestHandler):
         if length > MAX_BODY_BYTES:
             raise BadRequest(f"body too large ({length} bytes)")
         raw = self.rfile.read(length)
+        self._body_read = True
         try:
             body = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -218,27 +252,32 @@ class BaseJSONHandler(BaseHTTPRequestHandler):
         if request_id and isinstance(payload, dict):
             if status >= 400 or payload.get("partial"):
                 payload.setdefault("request_id", request_id)
-        data = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        if request_id:
-            self.send_header(REQUEST_ID_HEADER, request_id)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-        self._response_status = status
+        self._send(json.dumps(payload).encode("utf-8"), "application/json", status)
 
     def _send_text(self, text: str, content_type: str, status: int = 200) -> None:
-        data = text.encode("utf-8")
+        self._send(text.encode("utf-8"), content_type, status)
+
+    def _send(self, data: bytes, content_type: str, status: int) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         request_id = getattr(self, "request_id", None)
         if request_id:
             self.send_header(REQUEST_ID_HEADER, request_id)
         self.send_header("Content-Length", str(len(data)))
+        if self._body_unread():
+            # the unread body would be parsed as the next request
+            self.send_header("Connection", "close")
+            self.close_connection = True
         self.end_headers()
         self.wfile.write(data)
         self._response_status = status
+
+    def _body_unread(self) -> bool:
+        """Whether the request carried a body this handler never read."""
+        if self._body_read:
+            return False
+        length = (self.headers.get("Content-Length") or "0").strip()
+        return length != "0" or "Transfer-Encoding" in self.headers
 
     def routes(self) -> Dict[str, object]:
         """Route table: ``{"METHOD /path": handler}`` (override)."""
@@ -257,6 +296,7 @@ class BaseJSONHandler(BaseHTTPRequestHandler):
         self.trace_ctx = TraceContext.extract(self.headers) or TraceContext.new()
         self.audit_detail: Dict = {}
         self._response_status = 200
+        self._body_read = False
         started = self.stats.timer()
         wall_started = time.perf_counter()
         tracked = hasattr(self.server, "request_started")
@@ -345,11 +385,34 @@ class BaseJSONHandler(BaseHTTPRequestHandler):
             **{k: v for k, v in detail.items() if not isinstance(v, (list, dict))},
         )
 
+    def handle_one_request(self) -> None:
+        try:
+            super().handle_one_request()
+        except ConnectionError:
+            # the peer reset a kept-alive connection, or server_close()
+            # shut it down: the connection is over, not a server error
+            self.close_connection = True
+
     def do_GET(self) -> None:  # noqa: N802 - stdlib casing
         self._route("GET")
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib casing
         self._route("POST")
+
+
+def ingest_route(engine: InferenceEngine, body: Dict) -> Dict:
+    """``POST /ingest`` over one engine (the server's and a shard worker's)."""
+    store = engine.store
+    body = parse_ingest(body, store.num_entities, store.num_relations)
+    if "events" in body:
+        result = engine.ingest(body["events"], timestamp=body["timestamp"])
+    else:
+        result = engine.ingest(body["quads"])
+    if body["flush"]:
+        result["flushed"] = engine.flush()
+        result["window_version"] = store.window_version
+        result["pending_events"] = store.pending_events
+    return result
 
 
 class ServingHandler(BaseJSONHandler):
@@ -386,49 +449,27 @@ class ServingHandler(BaseJSONHandler):
         return ({"server": self.stats.snapshot(), "engine": self.engine.stats()}, 200)
 
     def _handle_ingest(self) -> Tuple[Dict, int]:
-        body = self._read_json()
-        if ("events" in body) == ("quads" in body):
-            raise BadRequest("provide exactly one of 'events' (with 'timestamp') or 'quads'")
-        if "events" in body:
-            if "timestamp" not in body:
-                raise BadRequest("'events' requires a 'timestamp'")
-            result = self.engine.ingest(body["events"], timestamp=int(body["timestamp"]))
-        else:
-            result = self.engine.ingest(body["quads"])
-        if body.get("flush"):
-            result["flushed"] = self.engine.flush()
-            result["window_version"] = self.engine.store.window_version
-            result["pending_events"] = self.engine.store.pending_events
-        return result, 200
+        return ingest_route(self.engine, self._read_json()), 200
 
     def _handle_predict(self) -> Tuple[Dict, int]:
-        body = self._read_json()
-        if "queries" in body:
-            queries = body["queries"]
-            if not isinstance(queries, list) or not queries:
-                raise BadRequest("'queries' must be a non-empty list")
-            for q in queries:
-                if not isinstance(q, dict) or "subject" not in q or "relation" not in q:
-                    raise BadRequest("each query needs 'subject' and 'relation'")
-            results = self.engine.predict_many(
-                queries, default_top_k=int(body.get("top_k", 10))
-            )
+        store = self.engine.store
+        queries, default_top_k, single = parse_predict(
+            self._read_json(), store.num_entities, store.num_relations
+        )
+        if not single:
+            results = self.engine.predict_many(queries, default_top_k=default_top_k)
             self.audit_detail.update(self.engine.last_batch_info or {})
             return {"results": results}, 200
-        if "subject" not in body or "relation" not in body:
-            raise BadRequest("'subject' and 'relation' are required")
+        (query,) = queries
         predictions = self.engine.predict(
-            int(body["subject"]),
-            int(body["relation"]),
-            top_k=int(body.get("top_k", 10)),
-            inverse=bool(body.get("inverse", False)),
+            query["subject"], query["relation"], top_k=query["top_k"], inverse=query["inverse"]
         )
         self.audit_detail.update(self.engine.last_batch_info or {})
         return (
             {
-                "subject": int(body["subject"]),
-                "relation": int(body["relation"]),
-                "inverse": bool(body.get("inverse", False)),
+                "subject": query["subject"],
+                "relation": query["relation"],
+                "inverse": query["inverse"],
                 "predictions": predictions,
             },
             200,

@@ -36,13 +36,10 @@ from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer, span, tracing_enabled
 from repro.serving.audit import AUDIT_DEFAULT_CAPACITY, RequestAudit
 from repro.serving.engine import InferenceEngine
-from repro.serving.server import (
-    BadRequest,
-    BaseJSONHandler,
-    DrainableHTTPServer,
-)
+from repro.serving.server import BaseJSONHandler, DrainableHTTPServer, ingest_route
 from repro.serving.stats import ServerStats
 from repro.serving.store import OnlineHistoryStore
+from repro.serving.validation import BadRequest, parse_predict
 
 
 @dataclass(frozen=True)
@@ -194,30 +191,15 @@ class ShardWorkerHandler(BaseJSONHandler):
         return ({"server": self.stats.snapshot(), "engine": self.engine.stats()}, 200)
 
     def _handle_ingest(self):
-        body = self._read_json()
-        if ("events" in body) == ("quads" in body):
-            raise BadRequest("provide exactly one of 'events' (with 'timestamp') or 'quads'")
-        if "events" in body:
-            if "timestamp" not in body:
-                raise BadRequest("'events' requires a 'timestamp'")
-            result = self.engine.ingest(body["events"], timestamp=int(body["timestamp"]))
-        else:
-            result = self.engine.ingest(body["quads"])
-        if body.get("flush"):
-            result["flushed"] = self.engine.flush()
-            result["window_version"] = self.engine.store.window_version
-            result["pending_events"] = self.engine.store.pending_events
-        return result, 200
+        return ingest_route(self.engine, self._read_json()), 200
 
     def _handle_decode(self):
         body = self._read_json()
-        queries = body.get("queries")
-        if not isinstance(queries, list) or not queries:
+        if "queries" not in body:
             raise BadRequest("'queries' must be a non-empty list")
-        for q in queries:
-            if not isinstance(q, dict) or "subject" not in q or "relation" not in q:
-                raise BadRequest("each query needs 'subject' and 'relation'")
-        rows = self.engine.partial_topk(queries, default_top_k=int(body.get("top_k", 10)))
+        store = self.engine.store
+        queries, default_top_k, _ = parse_predict(body, store.num_entities, store.num_relations)
+        rows = self.engine.partial_topk(queries, default_top_k=default_top_k)
         shard = self.engine.shard
         self.audit_detail.update(self.engine.last_batch_info or {})
         payload = {

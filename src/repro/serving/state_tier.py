@@ -8,7 +8,13 @@ in-memory :class:`~repro.core.execution.EncoderStateCache`:
 
 - :class:`SharedEncoderStateStore` — an ``.npz``-per-state directory
   keyed **exactly** like the in-memory cache: ``(model_key,
-  model.version, dtype, window fingerprint)``.  Fingerprints are
+  model.version, dtype, fingerprint)``.  Only the expensive state
+  crosses it: a split encoder's (HisRES, LogCL) history state, keyed on
+  ``("history", window.history_fingerprint())`` and shared by every
+  query set on one history, or another model's full state, keyed on
+  ``window.fingerprint()``.  A split encoder's query-stage state (a few
+  milliseconds of work, less than publishing, polling for and loading
+  an ``.npz``) stays in each worker's memory LRU.  Fingerprints are
   cross-process stable (blake2b content digests, see
   :func:`repro.graphs.snapshot.stable_array_digest`), so two workers
   fed the same ingest stream derive byte-identical keys.  Writes are
@@ -21,7 +27,8 @@ in-memory :class:`~repro.core.execution.EncoderStateCache`:
   redundant work).  Stale locks (a worker killed mid-encode) are broken
   after ``lock_stale_s``.
 - :class:`TieredStateCache` — an :class:`EncoderStateCache` subclass
-  whose miss path goes memory -> shared tier -> single-flight encode.
+  whose expensive-stage lookup goes memory -> shared tier ->
+  single-flight encode.
   Workers plug it into their engine via the ``state_cache`` parameter.
 
 Tier events are counted on ``repro_state_tier_events_total{owner,
@@ -35,12 +42,11 @@ import hashlib
 import json
 import os
 import time
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Callable, Dict, Hashable, Optional
 
 import numpy as np
 
 from repro.core.execution import EncoderState, EncoderStateCache
-from repro.core.window import HistoryWindow
 from repro.nn.tensor import Tensor
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
@@ -236,10 +242,11 @@ class SharedEncoderStateStore:
 class TieredStateCache(EncoderStateCache):
     """Encoder-state cache with a shared on-disk tier beneath memory.
 
-    Lookup order on :meth:`get_or_encode`: in-memory LRU -> shared tier
-    -> single-flight encode (winner publishes; losers wait, then fall
-    back to a local encode).  Keys are identical to the base class's, so
-    a worker restarted against the same tier directory warm-starts from
+    The expensive stage's lookup (a split encoder's history state,
+    another model's full state) goes in-memory LRU -> shared tier ->
+    single-flight encode (winner publishes; losers wait, then fall back
+    to a local encode).  Keys are identical to the base class's, so a
+    worker restarted against the same tier directory warm-starts from
     its siblings' published states.
     """
 
@@ -247,9 +254,7 @@ class TieredStateCache(EncoderStateCache):
         super().__init__(capacity=capacity, owner=owner)
         self.tier = tier
 
-    def get_or_encode(self, model, window: HistoryWindow, model_key: str = "model") -> EncoderState:
-        fingerprint = window.fingerprint()
-        key = self._key(model, model_key, fingerprint)
+    def _cached_or_encode(self, key: Hashable, encode: Callable[[], EncoderState]) -> EncoderState:
         state = self.get(key)
         if state is not None:
             return state
@@ -263,7 +268,7 @@ class TieredStateCache(EncoderStateCache):
 
         if self.tier.try_acquire(key):
             try:
-                state = self._encode_live(model, window, fingerprint)
+                state = encode()
                 if self.tier.store(key, state):
                     self.tier.count("publish")
             finally:
@@ -275,7 +280,7 @@ class TieredStateCache(EncoderStateCache):
             if state is None:
                 # winner stalled or died: encode locally rather than fail
                 self.tier.count("fallback")
-                state = self._encode_live(model, window, fingerprint)
+                state = encode()
         self.put(key, state)
         return state
 

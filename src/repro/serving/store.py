@@ -134,7 +134,11 @@ class OnlineHistoryStore:
             summary dict: accepted events, rollovers triggered, current
             time, pending buffer size, and the new window version.
         """
-        events = np.asarray(events, dtype=np.int64)
+        events = np.asarray(events)
+        if events.size and events.dtype.kind not in "iu":
+            # never truncate (0.5 -> 0) or wrap (2**70) an id or timestamp
+            raise ValueError(f"events must be integers, got dtype {events.dtype}")
+        events = events.astype(np.int64, copy=False)
         if events.ndim == 1 and events.size in (3, 4):
             events = events.reshape(1, -1)
         if events.ndim != 2 or events.shape[1] not in (3, 4):

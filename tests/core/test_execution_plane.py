@@ -163,6 +163,115 @@ class TestEncoderStateCache:
         assert f'repro_cache_events_total{{{labels},event="miss"}} 1' in text
 
 
+def _split_model(name):
+    if name == "logcl":
+        return build_model("logcl", E, R, dim=8)
+    config = HisRESConfig(
+        embedding_dim=8, history_length=2, decoder_channels=4, dropout=0.0,
+        use_global=name == "hisres",
+    )
+    return HisRES(E, R, config)
+
+
+def _state_arrays(state):
+    tensors = (state.entity_matrix, state.relation_matrix) + tuple(state.aux)
+    return [t.data for t in tensors if t is not None] + list(state.int_aux)
+
+
+class TestSplitEncoderCache:
+    """HisRES and LogCL cache their query-independent half once per history."""
+
+    def _two_query_sets(self):
+        """Two windows on one builder state; both query sets have history."""
+        rng = np.random.default_rng(3)
+        builder = WindowBuilder(E, R, history_length=2, use_global=True)
+        facts = []
+        for ts in range(4):
+            quads = np.stack(
+                [rng.integers(0, E, 8), rng.integers(0, R, 8), rng.integers(0, E, 8),
+                 np.full(8, ts)],
+                axis=1,
+            ).astype(np.int64)
+            builder.absorb(quads)
+            facts.append(quads)
+        first, second = facts[-1][:3].copy(), facts[-2][3:6].copy()
+        first[:, 3] = second[:, 3] = 4
+        return (
+            builder.window_for(first, prediction_time=4),
+            builder.window_for(second, prediction_time=4),
+        )
+
+    @pytest.mark.parametrize("name", ["hisres", "hisres_no_global", "logcl"])
+    def test_cached_two_step_equals_fresh_encode(self, name):
+        model = _split_model(name)
+        model.eval()
+        first, second = self._two_query_sets()
+        assert first.history_fingerprint() == second.history_fingerprint()
+        assert first.fingerprint() != second.fingerprint()
+        assert first.global_graph.num_edges and second.global_graph.num_edges
+        cache = EncoderStateCache(capacity=8, owner=f"split-{name}")
+        for window in (first, second, first):
+            cached = cache.get_or_encode(model, window)
+            with model.inference_mode():
+                fresh = model.encode(window)
+            ours, theirs = _state_arrays(cached), _state_arrays(fresh)
+            assert len(ours) == len(theirs)
+            assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+
+    @pytest.mark.parametrize("name", ["hisres", "logcl"])
+    def test_one_history_encode_on_registry(self, name):
+        from repro.obs.metrics import get_registry
+
+        model = _split_model(name)
+        first, second = self._two_query_sets()
+        cache = EncoderStateCache(capacity=8, owner=f"split-count-{name}")
+        plan = ExecutionPlan(model, cache=cache)
+        for window in (first, second, second):
+            plan.encode(window)
+        events = get_registry().get("repro_cache_events_total")
+        count = lambda event: events.labels(  # noqa: E731
+            cache="encoder_state", owner=cache.owner, instance=cache.instance, event=event
+        ).value
+        assert count("encode_history") == 1
+        assert count("encode_query") == 2
+        assert count("encode_full") == 0
+        # one event per lookup: the cold history, then two history hits
+        # (second query set) and one full-state hit (repeat)
+        assert cache.misses == 1 and cache.hits == 2
+        assert cache.stats()["encodes"] == {"full": 0, "history": 1, "query": 2}
+
+    def test_single_stage_model_keeps_one_entry(self):
+        model = build_model("regcn", E, R, dim=8)
+        first, second = self._two_query_sets()
+        cache = EncoderStateCache(capacity=8, owner="split-regcn")
+        plan = ExecutionPlan(model, cache=cache)
+        plan.encode(first)
+        plan.encode(first)
+        assert len(cache) == 1
+        assert cache.stats()["encodes"] == {"full": 1, "history": 0, "query": 0}
+
+    def test_encode_spans_are_stage_tagged_and_not_nested(self):
+        from repro.obs.trace import disable_tracing, enable_tracing, tracing_enabled
+
+        model = _split_model("hisres")
+        first, second = self._two_query_sets()
+        was_enabled = tracing_enabled()
+        tracer = enable_tracing(reset=True)
+        try:
+            plan = ExecutionPlan(model, cache=EncoderStateCache(capacity=8, owner="spans"))
+            plan.encode(first)
+            plan.encode(second)
+            ExecutionPlan(model, cache=None).encode(first)
+        finally:
+            if not was_enabled:
+                disable_tracing()
+        spans = [s for s in tracer.spans() if s.name == "encoder.encode"]
+        assert [s.attrs["stage"] for s in spans] == [
+            "history", "query", "query", "history", "query"
+        ]
+        assert not any(s.parent in spans for s in spans)
+
+
 class TestFloat64Parity:
     @pytest.mark.parametrize("key", sorted(MODEL_REGISTRY))
     def test_cached_decode_matches_fused_forward(self, key):

@@ -170,3 +170,36 @@ class TestScopedWindows:
         assert scoped.is_scoped
         assert scoped.num_local_entities == 3
         assert scoped.fingerprint() != w.fingerprint()
+
+
+class TestHistoryFingerprint:
+    """The window key splits into a history part and a query part."""
+
+    def _history(self):
+        b = _builder(use_global=True, track_vocabulary=True)
+        b.absorb(_quads(0, [(0, 0, 1), (2, 1, 3)]))
+        b.absorb(_quads(1, [(0, 0, 4), (5, 2, 6)]))
+        return b
+
+    def test_query_sets_share_history_part(self):
+        b = self._history()
+        first = b.window_for(_quads(2, [(0, 0, 1)]), prediction_time=2)
+        second = b.window_for(_quads(2, [(2, 1, 3)]), prediction_time=2)
+        assert first.history_fingerprint() == second.history_fingerprint()
+        assert first.fingerprint() != second.fingerprint()
+        assert first.fingerprint()[0] == first.history_fingerprint()
+
+    def test_absorb_changes_history_part(self):
+        b = self._history()
+        before = b.window_for(_quads(3, [(0, 0, 1)]), prediction_time=3)
+        b.absorb(_quads(2, [(7, 0, 8)]))
+        after = b.window_for(_quads(3, [(0, 0, 1)]), prediction_time=3)
+        assert after.history_fingerprint() != before.history_fingerprint()
+
+    def test_local_nodes_enter_history_part(self):
+        from dataclasses import replace
+
+        b = self._history()
+        w = b.window_for(_quads(2, [(0, 0, 1)]), prediction_time=2)
+        scoped = replace(w, local_nodes=np.array([0, 1, 3], dtype=np.int64), _fingerprint=None)
+        assert scoped.history_fingerprint() != w.history_fingerprint()

@@ -301,7 +301,13 @@ class TestClusterMetrics:
         finally:
             cluster.stop()
         assert 'repro_state_tier_events_total{owner="mshard0",event="publish"}' in text
-        total_encodes = sum(
+        # single-flight: one history encode and one publish cluster-wide;
+        # the cheap query stage runs on each shard and stays in its memory
+        encodes = [e.state_cache.stats()["encodes"] for e in engines]
+        assert sum(e["history"] for e in encodes) == 1
+        assert [e["query"] for e in encodes] == [1, 1]
+        assert sum(e["full"] for e in encodes) == 0
+        total_publishes = sum(
             e.state_cache.tier.events["publish"] for e in engines
         )
-        assert total_encodes == 1  # single-flight: one encode cluster-wide
+        assert total_publishes == 1

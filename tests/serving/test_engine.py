@@ -161,6 +161,66 @@ class TestCache:
         assert all(len(r["predictions"]) == 2 for r in results)
 
 
+class TestSupersededVersions:
+    def test_cache_holds_only_current_version_after_rollovers(self, tmp_path, tiny_dataset):
+        _, path = _checkpoint(tmp_path)
+        engine = InferenceEngine.from_checkpoint(path, batch_window_s=0.0)
+        engine.store.warm_up(tiny_dataset.train)
+        t = engine.store.current_time
+        for step in range(6):
+            engine.predict_many([{"subject": s, "relation": 1} for s in range(4)])
+            t += 1
+            engine.ingest([[step, 0, step + 1]], timestamp=t)
+            engine.flush()
+        engine.predict_many([{"subject": 0, "relation": 1}, {"subject": 5, "relation": 2}])
+        version = engine.store.window_version
+        keys = list(engine.cache)
+        assert len(keys) == 2
+        assert all(key[-1] == version for key in keys)
+
+    def test_hot_pair_refresh_after_rollover_survives_next_batch(
+        self, tmp_path, tiny_dataset
+    ):
+        _, path = _checkpoint(tmp_path)
+        engine = InferenceEngine.from_checkpoint(path, batch_window_s=0.0)
+        engine.store.warm_up(tiny_dataset.train)
+        engine.predict(0, 1)
+        engine.ingest([[0, 1, 2]], timestamp=engine.store.current_time + 1)
+        engine.flush()
+        assert engine.refresh_hot_pairs()["refreshed"] == 1
+        calls = engine.stats()["predict_calls"]
+        engine.predict(0, 1)  # served from the refreshed entry
+        assert engine.stats()["predict_calls"] == calls
+
+
+class TestSplitEncoderServing:
+    def test_cold_pair_sets_share_one_history_encode(self, tmp_path, tiny_dataset):
+        """Two cold pair sets on one window version: one history encode,
+        two query-stage encodes, scores bitwise those of an engine
+        without a state cache."""
+        _, path = _checkpoint(
+            tmp_path, key="hisres", dim=8,
+            window={"history_length": 3, "granularity": 2,
+                    "use_global": True, "track_vocabulary": False},
+        )
+        engine = InferenceEngine.from_checkpoint(path, batch_window_s=0.0)
+        control = InferenceEngine.from_checkpoint(
+            path, batch_window_s=0.0, state_cache_entries=0
+        )
+        assert control.state_cache is None
+        for e in (engine, control):
+            e.store.warm_up(tiny_dataset.train)
+        version = engine.store.window_version
+        for pairs in ([(0, 1), (2, 0)], [(3, 2), (4, 1)]):
+            queries = [{"subject": s, "relation": r, "top_k": 25} for s, r in pairs]
+            ours = engine.predict_many(queries)
+            theirs = control.predict_many(queries)
+            assert [r["predictions"] for r in ours] == [r["predictions"] for r in theirs]
+        assert engine.store.window_version == version
+        assert engine.state_cache.stats()["encodes"] == {"full": 0, "history": 1, "query": 2}
+        assert engine.state_cache.misses == 1 and engine.state_cache.hits == 1
+
+
 class TestMicroBatcher:
     def test_concurrent_submits_coalesce(self, tmp_path, tiny_dataset):
         _, path = _checkpoint(tmp_path)

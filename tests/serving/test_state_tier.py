@@ -214,3 +214,37 @@ class TestTieredCache:
         stats = cache.stats()
         assert stats["tier"]["entries"] == 1
         assert stats["tier"]["events"]["publish"] == 1
+
+
+class TestTieredSplitEncoder:
+    def test_only_history_state_crosses_the_tier(self, tmp_path, tiny_dataset):
+        """A sibling worker loads the published history state for a new
+        query set and runs only its query stage; query-stage states are
+        never published, and both answers equal a fresh encode bitwise."""
+        model = build_model(
+            "hisres", tiny_dataset.num_entities, tiny_dataset.num_relations, dim=8
+        )
+        model.eval()
+        store = OnlineHistoryStore(
+            tiny_dataset.num_entities, tiny_dataset.num_relations,
+            window_config=WindowConfig(history_length=2),
+        )
+        store.warm_up(tiny_dataset.train)
+        first = store.window_for(np.array([[0, 1, 0, 0], [2, 0, 0, 0]], dtype=np.int64))
+        second = store.window_for(np.array([[3, 2, 0, 0], [4, 1, 0, 0]], dtype=np.int64))
+        assert first.fingerprint() != second.fingerprint()
+        a, b = (
+            TieredStateCache(SharedEncoderStateStore(str(tmp_path), owner=o), owner=o)
+            for o in ("split-a", "split-b")
+        )
+        states = [a.get_or_encode(model, first, "hisres"),
+                  b.get_or_encode(model, second, "hisres")]
+        assert a.stats()["encodes"] == {"full": 0, "history": 1, "query": 1}
+        assert b.stats()["encodes"] == {"full": 0, "history": 0, "query": 1}
+        assert b.tier.events["hit"] == 1
+        assert a.tier.stats()["entries"] == 1  # the history state only
+        for window, state in zip((first, second), states):
+            with model.inference_mode():
+                fresh = model.encode(window)
+            assert np.array_equal(state.entity_matrix.data, fresh.entity_matrix.data)
+            assert np.array_equal(state.relation_matrix.data, fresh.relation_matrix.data)
