@@ -4,10 +4,13 @@ End-to-end serving speed (HTTP ``/ingest`` + ``/predict``, single
 process and through the router) is measured by ``perfbench/run.py``;
 this file keeps the one row perfbench has no counterpart for.  Wall
 clock on a few-core machine cannot show parallel gain, so the scaling
-criterion uses *capacity* throughput — total queries divided by the
-busiest worker's decode-busy seconds (the critical path if shards ran
-on their own cores) — with the sequential one-core wall clock reported
-alongside.  The result is one run-ledger record.
+criterion uses *capacity* throughput — the batch's queries divided by
+the busiest worker's decode-busy seconds in the median timed round (the
+critical path if shards ran on their own cores) — with the sequential
+one-core wall clock reported alongside.  Every shard count gets the
+same untimed warm-up on the same query batch, and the shard counts
+alternate within each timed round.  The result is one run-ledger
+record.
 """
 
 import time
@@ -25,8 +28,9 @@ def test_cluster_decode_scaling(benchmark):
     Uses a vocabulary large enough (16384 entities) that range decode
     dominates the duplicated per-query embedding work, and calls each
     shard's ``partial_topk`` sequentially: ``capacity_qps`` treats the
-    busiest shard as the critical path (what N real cores would give),
-    ``seq_wall_qps`` is the honest one-core wall clock.
+    busiest shard as the critical path (what N real cores would give)
+    and takes the median over rounds, ``seq_wall_qps`` is the honest
+    one-core wall clock.
     """
     from repro.core.config import WindowConfig
     from repro.core.execution import merge_topk
@@ -54,45 +58,62 @@ def test_cluster_decode_scaling(benchmark):
         for i in range(num_queries)
     ]
 
-    rounds = 10
+    warm_rounds, rounds, counts = 2, 30, (1, 2, 4)
 
     def run():
-        rows = []
-        merged_by_workers = {}
-        for num_workers in (1, 2, 4):
-            # cache_entries=0 disables the prediction cache so every
-            # round re-runs the decode; the encoder state stays cached
-            # (the HisRES global graph is query-conditioned, so the
-            # warm-up must use the SAME query batch as the measurement)
-            engines = [
+        # cache_entries=0 disables the prediction cache so every round
+        # re-runs the decode; the encoder state stays cached
+        clusters = {
+            n: [
                 ShardEngine(model, store, shard, model_key="hisres",
                             batch_window_s=0.0, cache_entries=0)
-                for shard in partition_entities(num_entities, num_workers)
+                for shard in partition_entities(num_entities, n)
             ]
-            for engine in engines:  # encode once, outside the measurement
-                engine.partial_topk(queries)
-                engine.decode_busy_s = 0.0
-            start = time.perf_counter()
-            for _ in range(rounds):
-                partials = [engine.partial_topk(queries) for engine in engines]
-            wall_s = time.perf_counter() - start
-            merged_by_workers[num_workers] = [
+            for n in counts
+        }
+        critical_s = {n: [] for n in counts}  # busiest shard's decode s, per round
+        busy_s = {n: 0.0 for n in counts}
+        wall_s = {n: 0.0 for n in counts}
+        partials = {}
+        # every shard count gets the same untimed warm-up rounds on the
+        # SAME query batch as the measurement (the HisRES global graph
+        # is query-conditioned), so encodes and first-touch costs stay
+        # out of the timed rounds; the counts alternate within each
+        # round, so a slow stretch of the machine hits all of them
+        for round_index in range(warm_rounds + rounds):
+            for n, engines in clusters.items():
+                before = [engine.decode_busy_s for engine in engines]
+                start = time.perf_counter()
+                partials[n] = [engine.partial_topk(queries) for engine in engines]
+                if round_index < warm_rounds:
+                    continue
+                wall_s[n] += time.perf_counter() - start
+                busy = [engine.decode_busy_s - b for engine, b in zip(engines, before)]
+                critical_s[n].append(max(busy))
+                busy_s[n] += sum(busy)
+        rows = []
+        for n in counts:
+            # the median round, so one descheduled round cannot set the ratio
+            median_s = float(np.median(critical_s[n]))
+            rows.append({
+                "workers": n,
+                "capacity_qps": num_queries / max(median_s, 1e-9),
+                "seq_wall_qps": num_queries * rounds / max(wall_s[n], 1e-9),
+                "critical_ms_p50": median_s * 1e3,
+                "critical_ms_max": max(critical_s[n]) * 1e3,
+                "total_busy_ms": busy_s[n] * 1e3,
+            })
+        merged_by_workers = {
+            n: [
                 merge_topk(
                     [(np.asarray(p[q]["entities"]), np.asarray(p[q]["scores"]))
-                     for p in partials],
+                     for p in partials[n]],
                     top_k,
                 )[0].tolist()
                 for q in range(num_queries)
             ]
-            total = num_queries * rounds
-            busies = [engine.decode_busy_s for engine in engines]
-            rows.append({
-                "workers": num_workers,
-                "capacity_qps": total / max(max(busies), 1e-9),
-                "seq_wall_qps": total / max(wall_s, 1e-9),
-                "max_busy_ms": max(busies) * 1e3,
-                "total_busy_ms": sum(busies) * 1e3,
-            })
+            for n in counts
+        }
         return rows, merged_by_workers
 
     rows, merged = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -100,19 +121,20 @@ def test_cluster_decode_scaling(benchmark):
         "Extension: cluster decode scaling (16384 entities, capacity basis)",
         rows,
         columns=("workers", "capacity_qps", "seq_wall_qps",
-                 "max_busy_ms", "total_busy_ms"),
+                 "critical_ms_p50", "critical_ms_max", "total_busy_ms"),
     )
     by_workers = {r["workers"]: r for r in rows}
     scaling = {
-        "basis": "capacity: queries / max per-shard decode-busy seconds "
-                 "(see module docstring)",
+        "basis": "capacity: queries / median over rounds of the busiest "
+                 "shard's decode-busy seconds (see module docstring)",
         "num_entities": num_entities,
         "queries": num_queries,
         "rows": {
             str(w): {
                 "capacity_qps": round(r["capacity_qps"], 2),
                 "seq_wall_qps": round(r["seq_wall_qps"], 2),
-                "max_busy_ms": round(r["max_busy_ms"], 3),
+                "critical_ms_p50": round(r["critical_ms_p50"], 3),
+                "critical_ms_max": round(r["critical_ms_max"], 3),
                 "total_busy_ms": round(r["total_busy_ms"], 3),
             }
             for w, r in by_workers.items()

@@ -5,7 +5,7 @@ probability mass onto entities recorded in the historical vocabulary of
 the query pair, blended with a *generation mode* scoring every entity.
 Simplifications: the per-timestamp vocabulary snapshots of the original
 are collapsed into the cumulative vocabulary (our
-:class:`~repro.graphs.history.HistoryVocabulary`), and the time-stamp
+:meth:`~repro.graphs.history.HistoryIndex.vocabulary`), and the time-stamp
 one-hot is replaced by the shared periodic time encoding.
 """
 

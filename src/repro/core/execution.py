@@ -63,7 +63,7 @@ import numpy as np
 from repro.core.window import HistoryWindow
 from repro.nn.tensor import Tensor, concat, get_default_dtype
 from repro.obs.lru import BoundedLRU
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import get_registry, new_instance
 from repro.obs.trace import span
 
 #: Column-tile width of the range-restricted decode grid.  Sharded
@@ -486,14 +486,25 @@ class ScopedExecutionPlan:
     Models that do not read window graphs through ``scope_entities``
     (vocabulary and subgraph-walk baselines, static embedders) pass
     through to the full plan untouched.
+
+    Encodes are counted on ``repro_scoped_encodes_total{owner,instance,
+    scope}`` only; :meth:`stats` is a view over this plan's series.
     """
 
     def __init__(self, plan: ExecutionPlan, sampler, include_targets: bool = True):
         self.plan = plan
         self.sampler = sampler
         self.include_targets = include_targets
-        self.identity_encodes = 0
-        self.scoped_encodes = 0
+        self.instance = new_instance("scoped")
+        family = get_registry().counter(
+            "repro_scoped_encodes_total",
+            "Scoped-plan encodes, by identity (delegated) or sampled scope.",
+            labelnames=("owner", "instance", "scope"),
+        )
+        self._encodes = {
+            scope: family.labels(owner=sampler.owner, instance=self.instance, scope=scope)
+            for scope in ("identity", "scoped")
+        }
 
     @property
     def model(self):
@@ -549,9 +560,9 @@ class ScopedExecutionPlan:
             return self.plan.encode(window)
         induced, scope = self.sampler.induce(window, self._seeds(queries))
         if scope.identity:
-            self.identity_encodes += 1
+            self._encodes["identity"].inc()
             return self.plan.encode(window)
-        self.scoped_encodes += 1
+        self._encodes["scoped"].inc()
         cache = self.plan.cache
         if cache is not None:
             state = cache.get_or_encode(self.model, induced, model_key=self.plan.model_key)
@@ -610,9 +621,9 @@ class ScopedExecutionPlan:
             return self.plan.loss(window, queries)
         induced, scope = self.sampler.induce(window, self._seeds(queries, for_loss=True))
         if scope.identity:
-            self.identity_encodes += 1
+            self._encodes["identity"].inc()
             return self.plan.loss(window, queries)
-        self.scoped_encodes += 1
+        self._encodes["scoped"].inc()
         with span("encoder.encode", owner=f"{self.plan.model_key}.scoped_loss", stage="full"):
             state = self.model.encode(induced)
         return self.model.decode_loss(self._scatter_state(state, induced), queries)
@@ -621,8 +632,8 @@ class ScopedExecutionPlan:
         return {
             "model_key": self.plan.model_key,
             "supports_scoping": self.supports_scoping,
-            "identity_encodes": self.identity_encodes,
-            "scoped_encodes": self.scoped_encodes,
+            "identity_encodes": int(self._encodes["identity"].value),
+            "scoped_encodes": int(self._encodes["scoped"].value),
             "sampler": self.sampler.stats() if hasattr(self.sampler, "stats") else None,
         }
 

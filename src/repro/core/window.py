@@ -2,8 +2,10 @@
 
 The trainer walks the timeline; at each prediction timestamp it packages
 the ``l`` most recent snapshot graphs, the merged inter-snapshot graphs,
-the time deltas, and the globally relevant graph into a
-:class:`HistoryWindow`.
+the time deltas, the globally relevant graph G^H_t and the vocabulary
+index into a :class:`HistoryWindow`.  The last two are reads of one
+:class:`~repro.graphs.history.HistoryIndex` that :meth:`WindowBuilder.absorb`
+feeds once per snapshot.
 
 Graph builds are cached at the window level so they are paid once per
 *distinct content*, not once per request:
@@ -20,6 +22,9 @@ Graph builds are cached at the window level so they are paid once per
   one window version (ablation sweeps, serving micro-batches) reuse the
   materialised G^H_t.
 
+A serving store never rewinds, so after each absorb it drops the graphs
+its state can no longer ask for (:meth:`WindowBuilder.drop_unreachable_graphs`).
+
 A window's content key splits the same way (:meth:`HistoryWindow.fingerprint`):
 a history part every query set on one builder state shares, and a
 query part over G^H_t and the vocabulary index.
@@ -27,13 +32,13 @@ query part over G^H_t and the vocabulary index.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graphs.global_graph import GlobalGraphBuilder
-from repro.graphs.history import HistoryVocabulary, VocabularyIndex
+from repro.graphs.history import HistoryIndex, VocabularyIndex
 from repro.graphs.merge import merge_snapshots
 from repro.graphs.snapshot import SnapshotGraph, build_snapshot, stable_array_digest
 from repro.obs.lru import BoundedLRU
@@ -57,7 +62,7 @@ class HistoryWindow:
         global_graph: G^H_t, or None when the global encoder is off.
         vocabulary: the history vocabulary index over the window's
             distinct ``(s, r)`` query pairs (see
-            :meth:`~repro.graphs.history.HistoryVocabulary.index`), or
+            :meth:`~repro.graphs.history.HistoryIndex.vocabulary`), or
             None when the builder does not track vocabulary (consumed by
             CyGNet, TiRGN, CENET).
         prediction_time: the timestamp being predicted.
@@ -181,22 +186,19 @@ class WindowBuilder:
         self.use_global = use_global
         self.track_vocabulary = track_vocabulary
         self.cache_capacity = int(cache_capacity)
-        self._recent_quads: List[np.ndarray] = []
-        self._recent_graphs: List[SnapshotGraph] = []
-        self._recent_times: List[int] = []
-        self._recent_fps: List[Tuple[int, int, int]] = []
-        self._global = GlobalGraphBuilder(
-            num_entities, 2 * num_relations, max_history=global_max_history
-        )
-        self._vocab = (
-            HistoryVocabulary(num_entities, 2 * num_relations) if track_vocabulary else None
-        )
+        # the rolling window: the l most recent snapshots, oldest first
+        self._recent_quads: Deque[np.ndarray] = deque(maxlen=history_length)
+        self._recent_graphs: Deque[SnapshotGraph] = deque(maxlen=history_length)
+        self._recent_times: Deque[int] = deque(maxlen=history_length)
+        self._recent_fps: Deque[Tuple[int, int, int]] = deque(maxlen=history_length)
+        #: every absorbed fact, inverse facts included: G^H_t and the
+        #: vocabulary index both read it
+        self.history = HistoryIndex(max_history=global_max_history)
         # History version: advances with every absorb, and is
         # content-chained so two identical replays (epoch 1 vs epoch 2)
         # pass through the *same* version sequence — that is what lets
         # the version-keyed global-graph LRU hit across epochs.
         self._version: int = 0
-        self._absorb_count = 0
         # Content-keyed caches; deliberately NOT cleared by reset() so
         # builds survive epoch boundaries.  A miss is a build.
         self._caches = {
@@ -215,9 +217,7 @@ class WindowBuilder:
         self._recent_graphs.clear()
         self._recent_times.clear()
         self._recent_fps.clear()
-        self._global.reset()
-        if self._vocab is not None:
-            self._vocab.reset()
+        self.history.reset()
         self._version = 0
 
     # ------------------------------------------------------------------
@@ -264,12 +264,12 @@ class WindowBuilder:
             pairs = frozenset((int(q[0]), int(q[1])) for q in queries)
             key = (self._version, pairs, int(prediction_time))
             global_graph = self._cached(
-                "global", key, lambda: self._global.build(pairs, now=prediction_time)
+                "global", key, lambda: self._global_graph(pairs, prediction_time)
             )
         vocabulary = None
-        if self._vocab is not None:
+        if self.track_vocabulary:
             queries = np.asarray(queries, dtype=np.int64)
-            vocabulary = self._vocab.index(queries[:, 0], queries[:, 1])
+            vocabulary = self.history.vocabulary(queries[:, 0], queries[:, 1])
         return HistoryWindow(
             snapshots=snapshots,
             merged=merged,
@@ -279,6 +279,27 @@ class WindowBuilder:
             vocabulary=vocabulary,
         )
 
+    def _global_graph(self, pairs, prediction_time: int) -> SnapshotGraph:
+        """G^H_t, subject -> object; the query set already holds the
+        inverse pairs (two-phase propagation), so no inverse edges."""
+        triples = self.history.triples(pairs, now=prediction_time)
+        return SnapshotGraph(
+            src=triples[:, 0],
+            rel=triples[:, 1],
+            dst=triples[:, 2],
+            num_entities=self.num_entities,
+            num_relations=2 * self.num_relations,
+        )
+
+    def _merge_spans(self) -> List[range]:
+        """Positions of the snapshots in each sliding merge window."""
+        n = len(self._recent_quads)
+        if n == 0:
+            return []
+        if n < self.granularity:
+            return [range(n)]
+        return [range(i, i + self.granularity) for i in range(n - self.granularity + 1)]
+
     def _merged_windows(self) -> List[SnapshotGraph]:
         """Merged inter-snapshot graphs, one per sliding window, cached.
 
@@ -286,15 +307,8 @@ class WindowBuilder:
         the member fingerprints, so absorbing one new snapshot only
         builds the windows that include it.
         """
-        n = len(self._recent_quads)
-        if n == 0:
-            return []
-        if n < self.granularity:
-            spans = [range(n)]
-        else:
-            spans = [range(i, i + self.granularity) for i in range(n - self.granularity + 1)]
         merged: List[SnapshotGraph] = []
-        for span in spans:
+        for span in self._merge_spans():
             key = tuple(self._recent_fps[i] for i in span)
             graph = self._cached(
                 "merged",
@@ -317,19 +331,13 @@ class WindowBuilder:
         graph = self._cached(
             "snapshot", fp, lambda: build_snapshot(quads, self.num_entities, self.num_relations)
         )
-        self._absorb_count += 1
         self._version = hash((self._version, fp))
         self._recent_quads.append(quads)
         self._recent_graphs.append(graph)
         self._recent_times.append(int(quads[0, 3]))
         self._recent_fps.append(fp)
-        if len(self._recent_quads) > self.history_length:
-            self._recent_quads.pop(0)
-            self._recent_graphs.pop(0)
-            self._recent_times.pop(0)
-            self._recent_fps.pop(0)
-        # the global index keeps *everything*, with inverse facts, so the
-        # inverse query pairs hit it too
+        # the history index keeps *everything*, with inverse facts, so
+        # the inverse query pairs hit it too
         doubled = np.concatenate(
             [
                 quads,
@@ -339,9 +347,18 @@ class WindowBuilder:
                 ),
             ]
         )
-        self._global.add_snapshot(doubled)
-        if self._vocab is not None:
-            self._vocab.add_snapshot(doubled)
+        self.history.add_snapshot(doubled)
+
+    def drop_unreachable_graphs(self) -> None:
+        """Drop every cached graph this state can no longer ask for: all
+        but the current window's and the current version's.  Only for a
+        history that never rewinds; a trainer's epoch replays revisit
+        earlier states and reuse their builds."""
+        fps = self._recent_fps
+        merged = {tuple(fps[i] for i in span) for span in self._merge_spans()}
+        self._caches["snapshot"].retain(lambda key: key in fps)
+        self._caches["merged"].retain(lambda key: key in merged)
+        self._caches["global"].retain(lambda key: key[0] == self._version)
 
     @property
     def history_filled(self) -> bool:
@@ -352,8 +369,3 @@ class WindowBuilder:
     def num_window_snapshots(self) -> int:
         """How many snapshots the rolling window currently holds (<= l)."""
         return len(self._recent_graphs)
-
-    @property
-    def global_builder(self) -> GlobalGraphBuilder:
-        """The incremental global-relevance index (for diagnostics)."""
-        return self._global

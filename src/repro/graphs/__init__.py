@@ -1,10 +1,9 @@
-"""Graph substrates: snapshot graphs, merged inter-snapshot graphs,
-globally relevant graphs, and historical vocabularies."""
+"""Graph substrates: snapshot graphs, merged inter-snapshot graphs, and
+the history index behind globally relevant graphs and vocabularies."""
 
 from repro.graphs.snapshot import SnapshotGraph, build_snapshot
 from repro.graphs.merge import merge_snapshots
-from repro.graphs.global_graph import GlobalGraphBuilder
-from repro.graphs.history import HistoryVocabulary
+from repro.graphs.history import HistoryIndex
 from repro.graphs.compiled import (
     CompiledGraph,
     compiled,
@@ -23,8 +22,7 @@ __all__ = [
     "SnapshotGraph",
     "build_snapshot",
     "merge_snapshots",
-    "GlobalGraphBuilder",
-    "HistoryVocabulary",
+    "HistoryIndex",
     "CompiledGraph",
     "compiled",
     "compiled_cache_stats",

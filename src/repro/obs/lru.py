@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, Iterator
+from typing import Any, Callable, Dict, Hashable, Iterator
 
 from repro.obs.metrics import get_registry, new_instance
 
@@ -95,6 +95,16 @@ class BoundedLRU:
             self._entries.set(len(self._data))
         if evicted:
             self._events["evict"].inc(evicted)
+
+    def retain(self, keep: Callable[[Hashable], bool]) -> None:
+        """Drop every entry whose key ``keep`` rejects (counted as evictions)."""
+        with self._lock:
+            dead = [key for key in self._data if not keep(key)]
+            for key in dead:
+                del self._data[key]
+            self._entries.set(len(self._data))
+        if dead:
+            self._events["evict"].inc(len(dead))
 
     def clear(self) -> None:
         with self._lock:

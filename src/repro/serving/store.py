@@ -6,14 +6,15 @@ several batches for the *same* timestamp) and predictions are requested
 between arrivals.  :class:`OnlineHistoryStore` therefore maintains the
 exact state a :class:`~repro.core.window.WindowBuilder` would reach —
 the ``l`` most recent snapshot graphs, the merged inter-snapshot
-graphs, the ``(s, r)``-keyed global-relevance index, and optionally the
-historical vocabulary — **incrementally**:
+graphs, and the ``(s, r)``-keyed history index behind G^H_t and the
+vocabulary — **incrementally**:
 
 - events for the current (open) timestamp are buffered append-only;
 - when an event with a newer timestamp arrives (or :meth:`flush` is
   called), the buffered snapshot is *sealed*: built once, absorbed into
-  the rolling window and the global index, and the ``window_version``
-  is bumped so prediction caches keyed on it invalidate.
+  the rolling window and the history index, and the ``window_version``
+  is bumped so prediction caches keyed on it invalidate.  Cached graphs
+  only older versions could ask for are dropped.
 
 Prediction windows are assembled from sealed history only, mirroring
 the training regime (predict timestamp ``t`` from ``G_{0:t-1}``).  A
@@ -113,6 +114,8 @@ class OnlineHistoryStore:
             return False
         quads = np.concatenate(self._pending) if len(self._pending) > 1 else self._pending[0]
         self._builder.absorb(quads)
+        # the store never rewinds: graphs of older versions are dead
+        self._builder.drop_unreachable_graphs()
         self._last_sealed_time = self._pending_time
         self._pending = []
         self._pending_time = None
@@ -251,8 +254,8 @@ class OnlineHistoryStore:
                 "window_snapshots": self._builder.num_window_snapshots,
                 "pending_events": self.pending_events,
                 "total_events": self._total_events,
-                "global_indexed_pairs": self._builder.global_builder.num_indexed_pairs,
-                "global_indexed_facts": self._builder.global_builder.num_indexed_facts,
+                "global_indexed_pairs": self._builder.history.num_pairs,
+                "global_indexed_facts": self._builder.history.num_facts,
                 # Window-level graph-build caches plus the process-wide
                 # compiled-layout counters: hits here mean requests are
                 # reusing graph builds/layouts instead of re-deriving

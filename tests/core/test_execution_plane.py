@@ -273,6 +273,15 @@ class TestSplitEncoderCache:
 
 
 class TestFloat64Parity:
+    """Parity fence, cached vs live: **bitwise**.
+
+    Scores decoded from a cached encoder state must be ``array_equal``
+    (float64) to the live encode + decode of the same window, for every
+    registered model, and a cached evaluation walk must give the same
+    MRR and ranks exactly.  No tolerance: caching changes which calls
+    run, never an operation's shapes or summation order.
+    """
+
     @pytest.mark.parametrize("key", sorted(MODEL_REGISTRY))
     def test_cached_decode_matches_fused_forward(self, key):
         """Cached-state decode == live ``predict_entities``, bitwise."""

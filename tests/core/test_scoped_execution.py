@@ -17,6 +17,7 @@ from repro.core.window import WindowBuilder
 from repro.data import generate_dataset
 from repro.graphs import NeighborSampler
 from repro.nn.tensor import Tensor
+from repro.obs.metrics import get_registry, parse_prometheus_text
 
 SPLIT_MODELS = ["regcn", "cen", "renet", "logcl", "retia", "rpc", "hgls", "hisres"]
 
@@ -66,6 +67,15 @@ class TestScatterRows:
 
 
 class TestIdentityParity:
+    """Parity fence, scoped vs full: **bitwise** on identity scopes.
+
+    When the sampled closure covers every edge endpoint (exhaustive
+    fanouts), the scoped plan delegates to the full plan, so scores
+    are ``array_equal`` (float64) to the full-graph decode.  Capped
+    scopes are an approximation and sit outside this fence; they are
+    only checked to be reproducible for a fixed seed.
+    """
+
     @pytest.mark.parametrize("key", SPLIT_MODELS)
     def test_exhaustive_fanout_is_bitwise_identical(self, key):
         model, window, queries = _setup(key)
@@ -126,3 +136,30 @@ class TestCappedScoping:
         # the full window's state must not have been populated by the
         # scoped decode — only a real full encode may claim that key
         assert cache.cached_state(model, window) is None
+
+
+class TestEncodeCounters:
+    def test_stats_equal_exported_series(self):
+        """Scoped-plan encode counts live only on the registry:
+        ``stats()`` reads this plan's children of the family."""
+        model, window, queries = _setup("regcn")
+        plan = ExecutionPlan(model, cache=EncoderStateCache(owner="cnt-regcn"))
+        identity = ScopedExecutionPlan(plan, NeighborSampler("full", owner="cnt-full"))
+        capped = ScopedExecutionPlan(plan, NeighborSampler("1", seed=7, owner="cnt-capped"))
+        identity.entity_scores(window, queries)
+        for _ in range(2):
+            capped.entity_scores(window, queries[:2])
+        assert identity.stats()["identity_encodes"] == 1
+        assert capped.stats()["scoped_encodes"] == 2
+        samples = parse_prometheus_text(get_registry().render_prometheus())
+        for scoped in (identity, capped):
+            exported = {
+                s.labels["scope"]: int(s.value)
+                for s in samples
+                if s.name == "repro_scoped_encodes_total"
+                and s.labels.get("instance") == scoped.instance
+            }
+            stats = scoped.stats()
+            assert exported == {
+                "identity": stats["identity_encodes"], "scoped": stats["scoped_encodes"]
+            }

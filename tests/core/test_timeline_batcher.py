@@ -331,6 +331,11 @@ class TestEvaluatorBatchedWalk:
 
 
 class TestSampledEvaluationFence:
+    """Parity fence, scoped vs full evaluation: **bitwise**.
+
+    An evaluation walk through a scoped plan with exhaustive fanouts
+    gives the full plan's MRR and ranks exactly (no tolerance)."""
+
     def _eval(self, model, dataset, plan):
         evaluator = TimelineEvaluator(dataset)
         builder = WindowBuilder(
@@ -359,7 +364,7 @@ class TestSampledEvaluationFence:
         # exhaustive fanouts are the identity: bitwise-equal metrics
         assert sampled.mrr == full.mrr
         assert np.array_equal(sampled.ranks, full.ranks)
-        assert scoped_plan.scoped_encodes == 0
+        assert scoped_plan.stats()["scoped_encodes"] == 0
 
     def test_capped_fanout_completes(self, tiny_dataset):
         seed_everything(43)

@@ -3,17 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.graphs import HistoryVocabulary
+from repro.graphs import HistoryIndex
 from repro.graphs.history import vocabulary_mask
+
+NUM_ENTITIES = 6
 
 
 def _vocab():
-    return HistoryVocabulary(num_entities=6, num_relations=4)
+    return HistoryIndex()
 
 
 def _seen_mask(v, subjects, relations):
     """Dense seen-objects mask of the pairs, through their CSR index."""
-    return vocabulary_mask(v.index(subjects, relations), subjects, relations, v.num_entities)
+    return vocabulary_mask(v.vocabulary(subjects, relations), subjects, relations, NUM_ENTITIES)
 
 
 class TestSeenMask:
@@ -48,7 +50,7 @@ class TestIndex:
     def test_index_rows_sorted_and_complete(self):
         v = _vocab()
         v.add_snapshot(np.array([[0, 1, 3, 0], [0, 1, 2, 0], [0, 1, 2, 1], [1, 2, 4, 0]]))
-        keys, indptr, objects = v.index(np.array([1, 0, 0, 5]), np.array([2, 1, 1, 3]))
+        keys, indptr, objects = v.vocabulary(np.array([1, 0, 0, 5]), np.array([2, 1, 1, 3]))
         # distinct pairs in key order; the unseen pair keeps an empty row
         assert len(keys) == 3 and list(keys) == sorted(keys)
         assert indptr.tolist() == [0, 2, 3, 3]

@@ -68,7 +68,14 @@ def _query_stream(dataset, n=14, top_k=8):
 
 
 class TestClusterParity:
-    """Cluster /predict must equal the single-process answer bitwise."""
+    """Parity fence, sharded vs single-process: **bitwise**.
+
+    Cluster ``/predict`` must equal the single-process answer exactly:
+    entity ids, ranks and float64 scores, compared after a lossless JSON
+    round trip (``repr(float)``), for any shard count.  No tolerance:
+    each shard decodes its entity range on the same global tile grid,
+    so a candidate's score never depends on the shard layout.
+    """
 
     @pytest.mark.parametrize("num_shards", [2, 4, 7])
     def test_bitwise_identical_topk(self, tiny_dataset, hisres_model, num_shards):

@@ -167,3 +167,31 @@ class TestIngestSemantics:
         assert stats["pending_events"] == 0
         assert stats["global_indexed_facts"] > 0
         assert stats["sealed_snapshots"] > 3
+
+
+class TestGraphCacheBound:
+    def test_rollovers_keep_only_live_graphs(self):
+        """A store that rolls over 40 times holds only the graphs its
+        current window can still ask for, and still equals a rebuild."""
+        store, reference = _store_and_reference(history_length=2)
+        rng = np.random.default_rng(0)
+        queries = np.array([[s, r, 0, 0] for s in range(6) for r in range(5)], dtype=np.int64)
+        for t in range(40):
+            triples = np.stack(
+                [rng.integers(0, 25, 12), rng.integers(0, 5, 12), rng.integers(0, 25, 12)], axis=1
+            )
+            store.ingest(triples, timestamp=t)
+            store.flush()
+            reference.absorb(np.concatenate([triples, np.full((12, 1), t)], axis=1))
+            _windows_equal(
+                store.window_for(queries, prediction_time=t + 1),
+                reference.window_for(queries, prediction_time=t + 1),
+            )
+        caches = store.stats()["graph_caches"]
+        # l = 2 snapshots, one merge window of granularity 2, and one
+        # G^H for the current version and query set
+        assert caches["snapshot_entries"] <= 2
+        assert caches["merged_entries"] <= 1
+        assert caches["global_entries"] <= 1
+        # the offline builder keeps its builds for epoch replays
+        assert reference.cache_stats()["snapshot_entries"] == 40

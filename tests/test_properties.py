@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.data.dataset import TKGDataset
-from repro.graphs.global_graph import GlobalGraphBuilder
-from repro.graphs.history import HistoryVocabulary, vocabulary_mask
+from repro.graphs.history import HistoryIndex, vocabulary_mask
 from repro.graphs.snapshot import build_snapshot
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor, concat
@@ -156,9 +155,9 @@ class TestHistoryProperties:
     @given(quad_arrays(max_time=1))
     @settings(max_examples=40, deadline=None)
     def test_mask_matches_facts(self, quads):
-        vocab = HistoryVocabulary(8, 4)
-        vocab.add_snapshot(quads)
-        index = vocab.index(quads[:, 0], quads[:, 1])
+        history = HistoryIndex()
+        history.add_snapshot(quads)
+        index = history.vocabulary(quads[:, 0], quads[:, 1])
         mask = vocabulary_mask(index, quads[:, 0], quads[:, 1], 8)
         # every recorded fact is marked seen for its own query pair
         assert np.all(mask[np.arange(len(quads)), quads[:, 2]] == 1.0)
@@ -166,10 +165,10 @@ class TestHistoryProperties:
     @given(quad_arrays(max_time=1))
     @settings(max_examples=40, deadline=None)
     def test_global_graph_is_subset_of_history(self, quads):
-        builder = GlobalGraphBuilder(8, 4)
-        builder.add_snapshot(quads)
+        history = HistoryIndex()
+        history.add_snapshot(quads)
         pairs = {(int(q[0]), int(q[1])) for q in quads}
-        triples = builder.relevant_triples(pairs)
+        triples = history.triples(pairs)
         history = {tuple(q[:3]) for q in quads}
         assert set(map(tuple, triples)) <= history
         # and covers every fact whose pair was queried
