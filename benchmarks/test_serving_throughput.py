@@ -34,6 +34,7 @@ def test_cluster_decode_scaling(benchmark):
     """
     from repro.core.config import WindowConfig
     from repro.core.execution import merge_topk
+    from repro.obs.metrics import get_registry
     from repro.serving import OnlineHistoryStore, ShardEngine, partition_entities
 
     num_entities, num_relations, dim = 16384, 12, 16
@@ -71,6 +72,14 @@ def test_cluster_decode_scaling(benchmark):
             ]
             for n in counts
         }
+        decode_seconds = get_registry().get("repro_shard_decode_seconds_total")
+
+        def decode_busy(engine):
+            # the engine's own registry child: its shard and instance
+            return decode_seconds.labels(
+                shard=engine.shard.index, instance=engine.instance
+            ).value
+
         critical_s = {n: [] for n in counts}  # busiest shard's decode s, per round
         busy_s = {n: 0.0 for n in counts}
         wall_s = {n: 0.0 for n in counts}
@@ -82,13 +91,13 @@ def test_cluster_decode_scaling(benchmark):
         # round, so a slow stretch of the machine hits all of them
         for round_index in range(warm_rounds + rounds):
             for n, engines in clusters.items():
-                before = [engine.decode_busy_s for engine in engines]
+                before = [decode_busy(engine) for engine in engines]
                 start = time.perf_counter()
                 partials[n] = [engine.partial_topk(queries) for engine in engines]
                 if round_index < warm_rounds:
                     continue
                 wall_s[n] += time.perf_counter() - start
-                busy = [engine.decode_busy_s - b for engine, b in zip(engines, before)]
+                busy = [decode_busy(engine) - b for engine, b in zip(engines, before)]
                 critical_s[n].append(max(busy))
                 busy_s[n] += sum(busy)
         rows = []

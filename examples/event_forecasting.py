@@ -11,7 +11,7 @@ Run:  python examples/event_forecasting.py
 
 import numpy as np
 
-from repro.core import Forecaster, HisRES, HisRESConfig
+from repro.core import Forecaster, HisRES, HisRESConfig, WindowConfig
 from repro.data import generate_dataset
 from repro.training import Trainer
 
@@ -26,7 +26,7 @@ def main():
     # Online API: replay history, then predict the next step.
     forecaster = Forecaster(
         model, dataset.num_entities, dataset.num_relations,
-        history_length=3, use_global=True,
+        window_config=WindowConfig(history_length=3, use_global=True),
     )
     forecaster.warm_up(dataset.train)
     forecaster.warm_up(dataset.valid)

@@ -46,9 +46,8 @@ class Forecaster:
     Args:
         model: any model speaking the encode/decode protocol.
         num_entities / num_relations: vocabulary sizes (base relations).
-        window_config: how windows are assembled (must match training);
-            the individual keyword arguments below are legacy aliases
-            used only when ``window_config`` is None.
+        window_config: how windows are assembled (must match training;
+            None means ``WindowConfig()``).
         state_cache_entries: capacity of the encoder-state cache used
             by :meth:`predict_batch` (0 disables it).
     """
@@ -59,26 +58,13 @@ class Forecaster:
         num_entities: int,
         num_relations: int,
         window_config: Optional[WindowConfig] = None,
-        history_length: int = 2,
-        granularity: int = 2,
-        use_global: bool = True,
-        track_vocabulary: bool = False,
-        global_max_history: Optional[int] = None,
         state_cache_entries: int = 8,
     ):
         self.model = model
         self.num_entities = num_entities
         self.num_relations = num_relations
-        if window_config is None:
-            window_config = WindowConfig(
-                history_length=history_length,
-                granularity=granularity,
-                use_global=use_global,
-                track_vocabulary=track_vocabulary,
-                global_max_history=global_max_history,
-            )
-        self.window_config = window_config
-        self._builder = window_config.build(num_entities, num_relations)
+        self.window_config = window_config or WindowConfig()
+        self._builder = self.window_config.build(num_entities, num_relations)
         cache = (
             EncoderStateCache(capacity=state_cache_entries, owner="forecaster")
             if state_cache_entries

@@ -16,19 +16,6 @@ from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor
 
 
-def _im2col_1d(x: np.ndarray, kernel: int, padding: int) -> np.ndarray:
-    """(batch, channels, length) -> (batch, out_length, channels * kernel)."""
-    batch, channels, length = x.shape
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
-    out_length = x.shape[2] - kernel + 1
-    strides = (x.strides[0], x.strides[2], x.strides[1], x.strides[2])
-    windows = np.lib.stride_tricks.as_strided(
-        x, shape=(batch, out_length, channels, kernel), strides=strides
-    )
-    return windows.reshape(batch, out_length, channels * kernel)
-
-
 class Conv1d(Module):
     """1-D convolution with 'same'-style integer padding.
 

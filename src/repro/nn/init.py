@@ -23,10 +23,6 @@ def set_rng(rng: np.random.Generator) -> None:
     _rng = rng
 
 
-def get_rng() -> np.random.Generator:
-    return _rng
-
-
 def _fans(shape: Tuple[int, ...]) -> Tuple[int, int]:
     if len(shape) == 1:
         return shape[0], shape[0]

@@ -58,7 +58,6 @@ from repro.serving.shard import (
     partition_entities,
 )
 from repro.serving.state_tier import SharedEncoderStateStore, TieredStateCache
-from repro.serving.stats import EndpointStats, ServerStats
 from repro.serving.store import OnlineHistoryStore
 
 __all__ = [
@@ -68,7 +67,6 @@ __all__ = [
     "ClusterRouter",
     "ClusterSupervisor",
     "DrainableHTTPServer",
-    "EndpointStats",
     "EntityShard",
     "InferenceEngine",
     "LocalCluster",
@@ -76,7 +74,6 @@ __all__ = [
     "OnlineHistoryStore",
     "RequestAudit",
     "RouterServer",
-    "ServerStats",
     "ServingClient",
     "ServingError",
     "ServingServer",

@@ -18,9 +18,17 @@ friends) on the router.  The per-object ``instance`` label is folded
 away by summing within each worker, so a shard's value covers every
 cache or engine instance living in that worker.  Histogram families are skipped (their
 per-shard ``repro_cluster_scatter_seconds`` views already live on the
-router) and so is anything already ``repro_cluster_``-prefixed —
-essential in the in-process cluster, where router and workers share one
-registry and re-ingesting our own output would feed back.
+router) and so is anything already ``repro_cluster_``-prefixed, since
+re-ingesting our own output would feed back.
+
+Workers that share the router's registry (the in-process cluster of
+:func:`~repro.serving.cluster.launch_local_cluster`) each render the
+whole process's series, every sibling's included.  Such a scrape is
+recognisable by the router's own ``repro_cluster_*`` families in it.
+Its series are counted once across all shared scrapes, and attributed
+to a shard only when they carry a ``shard`` label; the others feed
+``shard="sum"`` alone (no per-shard or ``max`` child), so every
+federated sum equals the registry's own total.
 
 Re-entrancy: in that shared-registry setup, scraping a worker's
 ``/metrics`` re-runs this very collector on the worker's handler
@@ -36,7 +44,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
 from repro.obs.metrics import MetricsRegistry, parse_prometheus_text
 
@@ -112,17 +120,14 @@ class ClusterMetricsFederator:
 
     def _sweep(self) -> None:
         """Scrape every live worker and rebuild the federated series."""
-        # group key: (family name, labelnames-minus-shard) -> per-shard
-        # values, so sum/max aggregate within one label combination.
-        # The inner dict is keyed by shard label: a sample that already
-        # carries a shard label keeps it (and scraping the same series
-        # through two workers — the shared-registry in-process cluster —
-        # dedups instead of double-counting it into the sum).  Within one
-        # scrape, samples differing only by ``instance`` are summed.
+        # group key: (family name, labelnames minus shard/instance) ->
+        # label values -> owner -> value, so sum/max aggregate within one
+        # label combination and ``instance`` series fold into their owner.
         grouped: Dict[
-            Tuple[str, Tuple[str, ...]], Dict[Tuple[str, ...], Dict[str, float]]
+            Tuple[str, Tuple[str, ...]], Dict[Tuple[str, ...], Dict[Optional[str], float]]
         ] = {}
         help_texts: Dict[str, str] = {}
+        shared_seen: Set[Tuple] = set()
         for worker in self.router.live_workers():
             shard_label = str(worker.shard.index)
             self._scrapes.labels(shard=shard_label).inc()
@@ -131,7 +136,9 @@ class ClusterMetricsFederator:
             except Exception:
                 self._scrape_failures.labels(shard=shard_label).inc()
                 continue
-            scraped: Dict[Tuple, float] = {}
+            # our own repro_cluster_* families in the scrape: this worker
+            # renders the router's registry, as do its in-process siblings
+            shared = any(s.name.startswith(FEDERATED_PREFIX) for s in samples)
             for sample in samples:
                 if sample.type not in ("counter", "gauge"):
                     continue  # histograms stay worker-local
@@ -139,21 +146,28 @@ class ClusterMetricsFederator:
                     continue  # shared-registry feedback guard
                 if not math.isfinite(sample.value):
                     continue  # NaN/Inf gauges would poison sum/max forever
+                if shared:
+                    identity = (sample.name, tuple(sorted(sample.labels.items())))
+                    if identity in shared_seen:
+                        continue  # already counted through a sibling's scrape
+                    shared_seen.add(identity)
+                    # which worker owns an unsharded series is unknowable
+                    # here: it counts toward the sum only
+                    owner = sample.labels.get("shard")
+                else:
+                    owner = sample.labels.get("shard", shard_label)
                 labels = {
                     k: v for k, v in sample.labels.items() if k not in ("shard", "instance")
                 }
                 labelnames = tuple(sorted(labels))
-                key = (federated_name(sample.name), labelnames)
-                labelvalues = tuple(labels[k] for k in labelnames)
-                owner = sample.labels.get("shard", shard_label)
-                series = (key, labelvalues, owner)
-                scraped[series] = scraped.get(series, 0.0) + sample.value
-                help_texts.setdefault(
-                    federated_name(sample.name),
-                    f"Federated from worker {sample.name} (per-shard + sum/max).",
+                name = federated_name(sample.name)
+                owners = grouped.setdefault((name, labelnames), {}).setdefault(
+                    tuple(labels[k] for k in labelnames), {}
                 )
-            for (key, labelvalues, owner), value in scraped.items():
-                grouped.setdefault(key, {}).setdefault(labelvalues, {})[owner] = value
+                owners[owner] = owners.get(owner, 0.0) + sample.value
+                help_texts.setdefault(
+                    name, f"Federated from worker {sample.name} (per-shard + sum/max)."
+                )
         for (name, labelnames), series in grouped.items():
             try:
                 family = self.registry.gauge(
@@ -161,9 +175,10 @@ class ClusterMetricsFederator:
                 )
             except ValueError:
                 continue  # same name seen with different labels: first wins
-            for labelvalues, shard_values in series.items():
-                values = list(shard_values.values())
-                for shard_label, value in shard_values.items():
+            for labelvalues, owners in series.items():
+                per_shard = {k: v for k, v in owners.items() if k is not None}
+                for shard_label, value in per_shard.items():
                     family.labels(shard_label, *labelvalues).set(value)
-                family.labels("sum", *labelvalues).set(sum(values))
-                family.labels("max", *labelvalues).set(max(values))
+                family.labels("sum", *labelvalues).set(sum(owners.values()))
+                if per_shard:
+                    family.labels("max", *labelvalues).set(max(per_shard.values()))

@@ -42,12 +42,11 @@ from repro.core.execution import merge_topk
 from repro.obs.health import health_counter
 from repro.obs.metrics import get_registry
 from repro.obs.trace import TraceContext, get_tracer, span, tracing_enabled
-from repro.serving.audit import AUDIT_DEFAULT_CAPACITY, RequestAudit
+from repro.serving.audit import AUDIT_DEFAULT_CAPACITY
 from repro.serving.client import ServingClient, ServingError
 from repro.serving.federation import ClusterMetricsFederator
 from repro.serving.server import REQUEST_ID_HEADER, BaseJSONHandler, DrainableHTTPServer
 from repro.serving.shard import EntityShard
-from repro.serving.stats import ServerStats
 from repro.serving.validation import BadRequest, parse_ingest, parse_predict
 
 
@@ -430,7 +429,7 @@ class RouterHandler(BaseJSONHandler):
 
     def _handle_stats(self):
         return (
-            {"server": self.stats.snapshot(), "cluster": self.router.stats()},
+            {"server": self.server.stats_snapshot(), "cluster": self.router.stats()},
             200,
         )
 
@@ -486,12 +485,8 @@ class RouterServer(DrainableHTTPServer):
         request_log_entries: int = AUDIT_DEFAULT_CAPACITY,
         metrics_ttl_s: float = 5.0,
     ):
-        super().__init__(address, RouterHandler)
+        super().__init__(address, RouterHandler, verbose, request_log_entries)
         self.router = router
-        self.registry = get_registry()
-        self.stats = ServerStats(registry=self.registry)
-        self.audit = RequestAudit(request_log_entries) if request_log_entries else None
-        self.verbose = verbose
         health_counter(self.registry)
         self.federator = ClusterMetricsFederator(
             router, self.registry, ttl_s=metrics_ttl_s

@@ -23,8 +23,8 @@ Two pieces here are deliberately generic so the cluster plane
 instead of reinventing HTTP plumbing:
 
 - :class:`BaseJSONHandler` — JSON body parsing, response encoding,
-  route dispatch with per-endpoint stats, and the drain-aware 503 on
-  mutating routes;
+  route dispatch with per-route request counters on the metrics
+  registry, and the drain-aware 503 on mutating routes;
 - :class:`DrainableHTTPServer` — a ``ThreadingHTTPServer`` that counts
   in-flight requests and supports graceful drain: ``begin_drain()``
   flips ``/health`` to ``"draining"`` and rejects new work while
@@ -49,12 +49,11 @@ from urllib.parse import parse_qs
 
 from repro.obs.health import health_counter
 from repro.obs.logging import log_event
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import Histogram, MetricsRegistry, get_registry
 from repro.obs.trace import TraceContext, activate, span
 from repro.obs.runs import RunLedger, default_ledger_path
 from repro.serving.audit import AUDIT_DEFAULT_CAPACITY, RequestAudit
 from repro.serving.engine import InferenceEngine
-from repro.serving.stats import ServerStats
 from repro.serving.validation import BadRequest, parse_ingest, parse_predict
 
 MAX_BODY_BYTES = 16 * 1024 * 1024
@@ -80,6 +79,9 @@ def new_request_id() -> str:
 class DrainableHTTPServer(ThreadingHTTPServer):
     """Threading HTTP server with in-flight tracking and graceful drain.
 
+    Requests are counted on the registry's ``repro_http_*`` families
+    (:func:`record_request`); ``started`` sets ``/stats``'s ``uptime_s``.
+
     ``begin_drain()`` marks the server as draining: mutating routes
     (see :attr:`BaseJSONHandler.drain_rejected`) start answering 503
     while requests already past the door run to completion.
@@ -94,8 +96,19 @@ class DrainableHTTPServer(ThreadingHTTPServer):
 
     daemon_threads = True
 
-    def __init__(self, address, handler_class):
+    def __init__(
+        self,
+        address,
+        handler_class,
+        verbose: bool = False,
+        request_log_entries: int = AUDIT_DEFAULT_CAPACITY,
+    ):
         super().__init__(address, handler_class)
+        self.verbose = verbose
+        self.audit = RequestAudit(request_log_entries) if request_log_entries else None
+        self.started = time.monotonic()
+        self.registry = get_registry()
+        _http_families(self.registry)  # render on /metrics before the first request
         self._inflight = 0
         self._inflight_lock = threading.Lock()
         self._idle = threading.Condition(self._inflight_lock)
@@ -127,11 +140,6 @@ class DrainableHTTPServer(ThreadingHTTPServer):
     def draining(self) -> bool:
         return self._draining.is_set()
 
-    @property
-    def inflight(self) -> int:
-        with self._inflight_lock:
-            return self._inflight
-
     def begin_drain(self) -> None:
         self._draining.set()
 
@@ -161,6 +169,67 @@ class DrainableHTTPServer(ThreadingHTTPServer):
     def url(self) -> str:
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
+
+    def stats_snapshot(self) -> Dict[str, object]:
+        """``/stats``'s ``server`` section, read from the registry."""
+        return http_stats(self.registry, time.monotonic() - self.started)
+
+
+def _http_families(registry: MetricsRegistry):
+    """The request counter, error counter and latency histogram families."""
+    route = ("route",)
+    return (
+        registry.counter("repro_http_requests_total", "HTTP requests served.", route),
+        registry.counter("repro_http_errors_total", "HTTP requests that failed.", route),
+        registry.histogram(
+            "repro_http_request_latency_seconds",
+            "HTTP request latency (successful requests).",
+            route,
+        ),
+    )
+
+
+def record_request(registry: MetricsRegistry, route: str, latency_s: float, error: bool) -> None:
+    """Count one request; only successful requests feed the latency histogram."""
+    requests, errors, latency = _http_families(registry)
+    requests.labels(route).inc()
+    if error:
+        errors.labels(route).inc()
+    else:
+        latency.labels(route).observe(latency_s)
+
+
+def http_stats(registry: MetricsRegistry, uptime_s: float) -> Dict[str, object]:
+    """Per-route request counts and recent latency percentiles.
+
+    A view over the ``repro_http_*`` families: every route any server
+    in this process answered, since the registry is process-wide.
+    Latencies come from each histogram's ring of recent samples.
+    """
+    requests, errors, latency = _http_families(registry)
+    error_counts = {route: child.value for route, child in errors.children()}
+    latencies = dict(latency.children())
+    endpoints = {}
+    for route, child in requests.children():
+        # a route that has only failed has no latency ring
+        recent = (latencies.get(route) or Histogram()).snapshot()
+        endpoints[route[0]] = {
+            "requests": int(child.value),
+            "errors": int(error_counts.get(route, 0)),
+            "latency_ms": {
+                name: round(recent[key] * 1e3, 3)
+                for name, key in (("mean", "recent_mean"), ("p50", "p50"),
+                                  ("p95", "p95"), ("p99", "p99"))
+            },
+        }
+    uptime_s = max(uptime_s, 1e-9)
+    total = sum(ep["requests"] for ep in endpoints.values())
+    return {
+        "uptime_s": round(uptime_s, 3),
+        "total_requests": total,
+        "requests_per_s": round(total / uptime_s, 3),
+        "endpoints": endpoints,
+    }
 
 
 def run_with_graceful_shutdown(server: DrainableHTTPServer, drain_timeout: float = 10.0):
@@ -202,7 +271,7 @@ class BaseJSONHandler(BaseHTTPRequestHandler):
     Subclasses implement :meth:`routes` returning ``{"METHOD /path":
     callable}`` where each callable returns ``(payload_dict, status)``.
     ``GET /metrics`` is handled here (Prometheus text, not JSON)
-    whenever the server exposes a ``registry``.  While the server is
+    from the server's ``registry``.  While the server is
     draining, routes listed in :attr:`drain_rejected` answer 503 so a
     supervisor can drain a node without failing reads.
     """
@@ -220,12 +289,8 @@ class BaseJSONHandler(BaseHTTPRequestHandler):
     #: drain itself is observable.
     drain_rejected = ("POST /ingest", "POST /predict", "POST /decode")
 
-    @property
-    def stats(self) -> ServerStats:
-        return self.server.stats
-
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if getattr(self.server, "verbose", False):
+        if self.server.verbose:
             super().log_message(format, *args)
 
     def _read_json(self) -> Dict:
@@ -253,9 +318,6 @@ class BaseJSONHandler(BaseHTTPRequestHandler):
             if status >= 400 or payload.get("partial"):
                 payload.setdefault("request_id", request_id)
         self._send(json.dumps(payload).encode("utf-8"), "application/json", status)
-
-    def _send_text(self, text: str, content_type: str, status: int = 200) -> None:
-        self._send(text.encode("utf-8"), content_type, status)
 
     def _send(self, data: bytes, content_type: str, status: int) -> None:
         self.send_response(status)
@@ -297,40 +359,37 @@ class BaseJSONHandler(BaseHTTPRequestHandler):
         self.audit_detail: Dict = {}
         self._response_status = 200
         self._body_read = False
-        started = self.stats.timer()
-        wall_started = time.perf_counter()
-        tracked = hasattr(self.server, "request_started")
-        if tracked:
-            self.server.request_started()
+        started = time.perf_counter()
+        self.server.request_started()
         try:
             with activate(self.trace_ctx):
-                self._dispatch(name, started)
+                self._dispatch(name)
         finally:
-            latency_ms = (time.perf_counter() - wall_started) * 1e3
-            self._audit(name, latency_ms)
-            if tracked:
-                self.server.request_finished()
+            latency_s = time.perf_counter() - started
+            status = self._response_status
+            if status != 404:  # unknown paths would mint unbounded route labels
+                record_request(self.server.registry, name, latency_s, error=status >= 400)
+            self._audit(name, latency_s * 1e3)
+            self.server.request_finished()
 
-    def _dispatch(self, name: str, started: float) -> None:
+    def _dispatch(self, name: str) -> None:
         try:
-            if getattr(self.server, "draining", False) and name in self.drain_rejected:
+            if self.server.draining and name in self.drain_rejected:
                 self._send_json(
                     {"error": "server is draining", "status": "draining"}, status=503
                 )
-                self.stats.record(name, started, error=True)
                 return
-            if name == "GET /metrics" and getattr(self.server, "registry", None) is not None:
+            if name == "GET /metrics":
                 # Prometheus exposition is plain text, not JSON.
                 with span("http.request", route=name):
-                    self._send_text(
-                        self.server.registry.render_prometheus(),
+                    self._send(
+                        self.server.registry.render_prometheus().encode("utf-8"),
                         "text/plain; version=0.0.4; charset=utf-8",
+                        200,
                     )
-                self.stats.record(name, started)
                 return
-            if name == "GET /debug/requests" and getattr(self.server, "audit", None) is not None:
+            if name == "GET /debug/requests" and self.server.audit is not None:
                 self._send_json(self._debug_requests_payload())
-                self.stats.record(name, started)
                 return
             handler = self.routes().get(name)
             if handler is None:
@@ -339,16 +398,10 @@ class BaseJSONHandler(BaseHTTPRequestHandler):
             with span("http.request", route=name, request_id=self.request_id):
                 payload, status = handler()
             self._send_json(payload, status=status)
-            self.stats.record(name, started, error=status >= 400)
-        except BadRequest as exc:
+        except ValueError as exc:  # BadRequest, engine/store validation errors
             self._send_json({"error": str(exc)}, status=400)
-            self.stats.record(name, started, error=True)
-        except ValueError as exc:  # engine/store validation errors
-            self._send_json({"error": str(exc)}, status=400)
-            self.stats.record(name, started, error=True)
         except Exception as exc:  # pragma: no cover - defensive
             self._send_json({"error": f"internal error: {exc}"}, status=500)
-            self.stats.record(name, started, error=True)
 
     def _debug_requests_payload(self) -> Dict:
         slowest = None
@@ -362,9 +415,9 @@ class BaseJSONHandler(BaseHTTPRequestHandler):
 
     def _audit(self, name: str, latency_ms: float) -> None:
         """Record one audit-ring entry + access-log event per request."""
-        status = getattr(self, "_response_status", 200)
+        status = self._response_status
         detail = getattr(self, "audit_detail", None) or {}
-        audit: Optional[RequestAudit] = getattr(self.server, "audit", None)
+        audit: Optional[RequestAudit] = self.server.audit
         if audit is not None and name != "GET /debug/requests":
             audit.record(
                 name,
@@ -446,7 +499,7 @@ class ServingHandler(BaseJSONHandler):
         )
 
     def _handle_stats(self) -> Tuple[Dict, int]:
-        return ({"server": self.stats.snapshot(), "engine": self.engine.stats()}, 200)
+        return ({"server": self.server.stats_snapshot(), "engine": self.engine.stats()}, 200)
 
     def _handle_ingest(self) -> Tuple[Dict, int]:
         return ingest_route(self.engine, self._read_json()), 200
@@ -530,7 +583,7 @@ def _ledger_collector(registry: MetricsRegistry):
 
 
 class ServingServer(DrainableHTTPServer):
-    """Drainable threading server carrying the engine + stats singletons."""
+    """Drainable threading server carrying the engine."""
 
     def __init__(
         self,
@@ -539,12 +592,8 @@ class ServingServer(DrainableHTTPServer):
         verbose: bool = False,
         request_log_entries: int = AUDIT_DEFAULT_CAPACITY,
     ):
-        super().__init__(address, ServingHandler)
+        super().__init__(address, ServingHandler, verbose, request_log_entries)
         self.engine = engine
-        self.registry = get_registry()
-        self.stats = ServerStats(registry=self.registry)
-        self.audit = RequestAudit(request_log_entries) if request_log_entries else None
-        self.verbose = verbose
         self._collector = self.registry.register_collector(
             _engine_collector(engine, self.registry)
         )

@@ -18,8 +18,8 @@ Pieces:
   whose decode is restricted to the shard's range, plus a
   ``partial_topk`` entry point returning the shard-local canonical
   top-k (global entity ids) and a decode busy-time counter
-  (``repro_shard_decode_seconds_total{shard}``) that the scaling
-  benchmark uses to measure per-worker compute.
+  (``repro_shard_decode_seconds_total{shard,instance}``) that the
+  scaling benchmark uses to measure per-worker compute.
 - :class:`ShardWorkerServer` / :class:`ShardWorkerHandler` — the
   worker's HTTP face: the standard ``/health /stats /metrics /ingest``
   plus ``POST /decode`` for the router's scatter.
@@ -34,10 +34,9 @@ from typing import Dict, List, Sequence, Tuple
 from repro.core.execution import topk_ranked
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer, span, tracing_enabled
-from repro.serving.audit import AUDIT_DEFAULT_CAPACITY, RequestAudit
+from repro.serving.audit import AUDIT_DEFAULT_CAPACITY
 from repro.serving.engine import InferenceEngine
 from repro.serving.server import BaseJSONHandler, DrainableHTTPServer, ingest_route
-from repro.serving.stats import ServerStats
 from repro.serving.store import OnlineHistoryStore
 from repro.serving.validation import BadRequest, parse_predict
 
@@ -94,19 +93,18 @@ class ShardEngine(InferenceEngine):
     def __init__(self, model, store: OnlineHistoryStore, shard: EntityShard, **kwargs):
         super().__init__(model, store, **kwargs)
         self.shard = shard
-        self.decode_busy_s = 0.0
-        self.decode_calls = 0
-        shard_label = str(shard.index)
-        self._busy_counter = get_registry().counter(
+        registry = get_registry()
+        labels = dict(shard=str(shard.index), instance=self.instance)
+        self._decode_seconds = registry.counter(
             "repro_shard_decode_seconds_total",
-            "Cumulative decode busy time per shard.",
-            labelnames=("shard",),
-        ).labels(shard=shard_label)
-        self._decode_requests = get_registry().counter(
+            "Cumulative decode busy time per shard engine.",
+            labelnames=("shard", "instance"),
+        ).labels(**labels)
+        self._decode_requests = registry.counter(
             "repro_shard_decode_requests_total",
-            "Decode (scatter) requests served per shard.",
-            labelnames=("shard",),
-        ).labels(shard=shard_label)
+            "Decode (scatter) requests served per shard engine.",
+            labelnames=("shard", "instance"),
+        ).labels(**labels)
 
     def _score_range(self) -> Tuple[int, int]:
         return self.shard.lo, self.shard.hi
@@ -141,18 +139,15 @@ class ShardEngine(InferenceEngine):
                 rows.append(
                     {"entities": ids.tolist(), "scores": values.tolist()}
                 )
-        elapsed = time.perf_counter() - started
-        self.decode_busy_s += elapsed
-        self.decode_calls += 1
-        self._busy_counter.inc(elapsed)
+        self._decode_seconds.inc(time.perf_counter() - started)
         self._decode_requests.inc()
         return rows
 
     def stats(self) -> Dict[str, object]:
         base = super().stats()
         base["shard"] = self.shard.as_dict()
-        base["decode_busy_s"] = round(self.decode_busy_s, 6)
-        base["decode_calls"] = self.decode_calls
+        base["decode_busy_s"] = round(self._decode_seconds.value, 6)
+        base["decode_calls"] = int(self._decode_requests.value)
         return base
 
 
@@ -188,7 +183,7 @@ class ShardWorkerHandler(BaseJSONHandler):
         )
 
     def _handle_stats(self):
-        return ({"server": self.stats.snapshot(), "engine": self.engine.stats()}, 200)
+        return ({"server": self.server.stats_snapshot(), "engine": self.engine.stats()}, 200)
 
     def _handle_ingest(self):
         return ingest_route(self.engine, self._read_json()), 200
@@ -229,12 +224,8 @@ class ShardWorkerServer(DrainableHTTPServer):
         verbose: bool = False,
         request_log_entries: int = AUDIT_DEFAULT_CAPACITY,
     ):
-        super().__init__(address, ShardWorkerHandler)
+        super().__init__(address, ShardWorkerHandler, verbose, request_log_entries)
         self.engine = engine
-        self.registry = get_registry()
-        self.stats = ServerStats(registry=self.registry)
-        self.audit = RequestAudit(request_log_entries) if request_log_entries else None
-        self.verbose = verbose
 
 
 def create_worker_server(

@@ -30,10 +30,16 @@ in-memory :class:`~repro.core.execution.EncoderStateCache`:
   whose expensive-stage lookup goes memory -> shared tier ->
   single-flight encode.
   Workers plug it into their engine via the ``state_cache`` parameter.
+- **Bounded disk use** — every successful publish unlinks all other
+  published states except the newest one: the tier holds at most the
+  current window's state and its predecessor, which a worker one ingest
+  behind may still load.  A load that loses the race to an unlink is a
+  miss, and the worker encodes locally.
 
 Tier events are counted on ``repro_state_tier_events_total{owner,
-event}`` with events ``hit`` / ``miss`` / ``publish`` / ``wait`` /
-``fallback``.
+instance, event}`` with events ``hit`` / ``miss`` / ``publish`` /
+``wait`` / ``fallback``; ``instance`` is unique per store object, so
+:meth:`SharedEncoderStateStore.stats` reads back only its own counts.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import time
 from typing import Any, Callable, Dict, Hashable, Optional
 
@@ -48,10 +55,12 @@ import numpy as np
 
 from repro.core.execution import EncoderState, EncoderStateCache
 from repro.nn.tensor import Tensor
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import get_registry, new_instance
 from repro.obs.trace import span
 
 _META_KEY = "__meta__"
+#: A published state (not a lock or another writer's temp file).
+_STATE_FILE = re.compile(r"^state-[0-9a-f]{32}\.npz$")
 
 
 class SharedEncoderStateStore:
@@ -80,22 +89,19 @@ class SharedEncoderStateStore:
         self.lock_stale_s = float(lock_stale_s)
         self.poll_interval_s = float(poll_interval_s)
         self.owner = owner
+        self.instance = new_instance("tier")
         family = get_registry().counter(
             "repro_state_tier_events_total",
-            "Shared encoder-state tier events per owner.",
-            labelnames=("owner", "event"),
+            "Shared encoder-state tier events per store instance.",
+            labelnames=("owner", "instance", "event"),
         )
         self._counters = {
-            event: family.labels(owner=owner, event=event)
+            event: family.labels(owner=owner, instance=self.instance, event=event)
             for event in ("hit", "miss", "publish", "wait", "fallback")
-        }
-        self.events: Dict[str, int] = {
-            "hit": 0, "miss": 0, "publish": 0, "wait": 0, "fallback": 0
         }
 
     def count(self, event: str) -> None:
         self._counters[event].inc()
-        self.events[event] += 1
 
     # ------------------------------------------------------------------
     def path_for(self, key: Hashable) -> str:
@@ -178,7 +184,24 @@ class SharedEncoderStateStore:
             except OSError:
                 pass
             return False
+        self._prune(keep=path)
         return True
+
+    def _prune(self, keep: str) -> None:
+        """Unlink every published state but ``keep`` and the newest other one."""
+        stamped = []
+        with os.scandir(self.root) as entries:
+            for entry in entries:
+                if entry.path != keep and _STATE_FILE.match(entry.name):
+                    try:
+                        stamped.append((entry.stat().st_mtime_ns, entry.path))
+                    except OSError:
+                        pass  # a sibling pruned it first
+        for _, path in sorted(stamped, reverse=True)[1:]:
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
 
     # ------------------------------------------------------------------
     def try_acquire(self, key: Hashable) -> bool:
@@ -236,7 +259,8 @@ class SharedEncoderStateStore:
             entries = sum(1 for n in os.listdir(self.root) if n.endswith(".npz"))
         except OSError:
             entries = 0
-        return {"root": self.root, "entries": entries, "events": dict(self.events)}
+        events = {event: int(counter.value) for event, counter in self._counters.items()}
+        return {"root": self.root, "entries": entries, "events": events}
 
 
 class TieredStateCache(EncoderStateCache):

@@ -40,9 +40,8 @@ class OnlineHistoryStore:
 
     Args:
         num_entities / num_relations: vocabulary sizes (base relations).
-        window_config: how windows are assembled (must match training);
-            the keyword arguments below are legacy aliases used only
-            when ``window_config`` is None.
+        window_config: how windows are assembled (must match training;
+            None means ``WindowConfig()``).
     """
 
     def __init__(
@@ -50,24 +49,11 @@ class OnlineHistoryStore:
         num_entities: int,
         num_relations: int,
         window_config: Optional[WindowConfig] = None,
-        history_length: int = 2,
-        granularity: int = 2,
-        use_global: bool = True,
-        track_vocabulary: bool = False,
-        global_max_history: Optional[int] = None,
     ):
         self.num_entities = num_entities
         self.num_relations = num_relations
-        if window_config is None:
-            window_config = WindowConfig(
-                history_length=history_length,
-                granularity=granularity,
-                use_global=use_global,
-                track_vocabulary=track_vocabulary,
-                global_max_history=global_max_history,
-            )
-        self.window_config = window_config
-        self._builder = window_config.build(num_entities, num_relations)
+        self.window_config = window_config or WindowConfig()
+        self._builder = self.window_config.build(num_entities, num_relations)
         self._lock = threading.RLock()
         self._pending: List[np.ndarray] = []
         self._pending_time: Optional[int] = None

@@ -83,9 +83,6 @@ class SamplerConfig:
             self.fanout, seed=self.seed, cache_entries=self.cache_entries, owner=owner
         )
 
-    def describe(self) -> str:
-        return f"fanout={self.fanout};batch={self.batch_size};seed={self.seed}"
-
 
 class QueryBatchLoader:
     """Deterministic shuffled mini-batches of one timestamp's queries."""
@@ -111,10 +108,3 @@ class QueryBatchLoader:
         order = rng.permutation(n)
         for start in range(0, n, self.batch_size):
             yield queries[order[start : start + self.batch_size]]
-
-    def num_batches(self, n: int) -> int:
-        if n == 0:
-            return 0
-        if self.batch_size <= 0:
-            return 1
-        return -(-n // self.batch_size)

@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.core import Forecaster, HisRES, HisRESConfig
+from repro.core import Forecaster, HisRES, HisRESConfig, WindowConfig
 
 
 def _forecaster(tiny_dataset, **kw):
     cfg = HisRESConfig(embedding_dim=8, history_length=2, decoder_channels=4)
     model = HisRES(tiny_dataset.num_entities, tiny_dataset.num_relations, cfg)
-    defaults = dict(history_length=2, use_global=True)
-    defaults.update(kw)
-    return Forecaster(model, tiny_dataset.num_entities, tiny_dataset.num_relations, **defaults)
+    return Forecaster(
+        model, tiny_dataset.num_entities, tiny_dataset.num_relations,
+        window_config=WindowConfig(history_length=2, use_global=True), **kw,
+    )
 
 
 class TestObservation:

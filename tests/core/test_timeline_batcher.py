@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import MODEL_REGISTRY, build_model
 from repro.core import HisRES, HisRESConfig
+from repro.core.config import WindowConfig
 from repro.core.execution import (
     EncoderStateCache,
     ExecutionPlan,
@@ -391,7 +392,7 @@ class TestForecasterTimeline:
                 model,
                 num_entities=tiny_dataset.num_entities,
                 num_relations=tiny_dataset.num_relations,
-                use_global=False,
+                window_config=WindowConfig(use_global=False),
             )
             f.warm_up(tiny_dataset.train, max_timestamps=4)
             return f
@@ -425,7 +426,7 @@ class TestForecasterTimeline:
             model,
             num_entities=tiny_dataset.num_entities,
             num_relations=tiny_dataset.num_relations,
-            use_global=False,
+            window_config=WindowConfig(use_global=False),
         )
         f.warm_up(tiny_dataset.train, max_timestamps=4)
         quads = tiny_dataset.valid.quads[:4]

@@ -11,6 +11,7 @@ import pytest
 
 from repro.baselines import build_model
 from repro.core.config import WindowConfig
+from repro.obs.metrics import parse_prometheus_text
 from repro.serving import (
     InferenceEngine,
     OnlineHistoryStore,
@@ -264,6 +265,26 @@ class TestDrain:
             cluster.stop()
 
 
+class TestShardEngineCounters:
+    def test_same_shard_index_engines_keep_separate_counts(self, tiny_dataset, hisres_model):
+        """Two engines of one shard index in one process (the decode-scaling
+        gate builds this) never read each other's decode counters."""
+        shard = partition_entities(tiny_dataset.num_entities, 2)[0]
+        a, b = (
+            ShardEngine(hisres_model, _make_store(tiny_dataset), shard,
+                        model_key="hisres", batch_window_s=0.0)
+            for _ in range(2)
+        )
+        queries = _query_stream(tiny_dataset, n=3)
+        a.partial_topk(queries)
+        a.partial_topk(queries)
+        b.partial_topk(queries)
+        assert a.instance != b.instance
+        assert (a.stats()["decode_calls"], b.stats()["decode_calls"]) == (2, 1)
+        assert a.stats()["decode_busy_s"] > 0 and b.stats()["decode_busy_s"] > 0
+        assert (a.stats()["queries_served"], b.stats()["queries_served"]) == (6, 3)
+
+
 class TestClusterMetrics:
     def test_per_shard_series_on_router_metrics(self, tiny_dataset, hisres_model):
         cluster = _cluster(tiny_dataset, hisres_model, 2)
@@ -274,9 +295,15 @@ class TestClusterMetrics:
             text = urllib.request.urlopen(cluster.url + "/metrics").read().decode()
         finally:
             cluster.stop()
+        samples = parse_prometheus_text(text)
         for shard in ("0", "1"):
             assert f'repro_cluster_requests_total{{shard="{shard}"}}' in text
-            assert f'repro_shard_decode_seconds_total{{shard="{shard}"}}' in text
+            # one series per engine: shard plus the engine's instance label
+            assert any(
+                s.name == "repro_shard_decode_seconds_total"
+                and s.labels.get("shard") == shard and s.labels.get("instance")
+                for s in samples
+            )
         assert "repro_cluster_scatter_seconds" in text
         assert "repro_cluster_gather_seconds" in text
 
@@ -307,7 +334,24 @@ class TestClusterMetrics:
             text = urllib.request.urlopen(cluster.url + "/metrics").read().decode()
         finally:
             cluster.stop()
-        assert 'repro_state_tier_events_total{owner="mshard0",event="publish"}' in text
+        samples = parse_prometheus_text(text)
+        publishes = {
+            s.labels["instance"]: s.value
+            for s in samples
+            if s.name == "repro_state_tier_events_total"
+            and s.labels.get("owner") == "mshard0" and s.labels.get("event") == "publish"
+        }
+        assert set(publishes) == {engines[0].state_cache.tier.instance}
+        # the workers share this process's registry: the router counts each
+        # tier series once, toward the sum only (it carries no shard label)
+        federated = [
+            s for s in samples
+            if s.name == "repro_cluster_state_tier_events_total"
+            and s.labels.get("event") == "publish"
+            and s.labels.get("owner", "").startswith("mshard")
+        ]
+        assert {s.labels["shard"] for s in federated} == {"sum"}
+        assert sum(s.value for s in federated) == 1
         # single-flight: one history encode and one publish cluster-wide;
         # the cheap query stage runs on each shard and stays in its memory
         encodes = [e.state_cache.stats()["encodes"] for e in engines]
@@ -315,6 +359,6 @@ class TestClusterMetrics:
         assert [e["query"] for e in encodes] == [1, 1]
         assert sum(e["full"] for e in encodes) == 0
         total_publishes = sum(
-            e.state_cache.tier.events["publish"] for e in engines
+            e.state_cache.tier.stats()["events"]["publish"] for e in engines
         )
         assert total_publishes == 1

@@ -3,8 +3,8 @@
 One ``/predict`` against a 2-worker in-process cluster must produce a
 single merged Chrome trace whose spans share one trace id across the
 router and both worker lanes, and the router's federated ``/metrics``
-aggregates must equal the sum of per-worker scrapes for the decode and
-encode counters.
+aggregates must equal the registry's own totals, each series counted
+once.
 """
 
 import json
@@ -150,43 +150,51 @@ class TestFederatedMetrics:
             return response.read().decode()
 
     def test_cluster_sum_equals_sum_of_worker_scrapes(self, cluster):
-        # traffic first, then scrape: counters must hold still in between
+        """``shard="sum"`` is every worker series counted once.
+
+        The in-process workers share the router's registry, so each
+        worker scrape holds every worker's series; the oracle is the
+        registry's own total, read without HTTP or federation.
+        """
         for i in range(3):
             _post(cluster.url + "/predict",
                   {"subject": (3 * i) % 30, "relation": i % 6, "top_k": 4})
-
-        worker_texts = [self._scrape(ws.url) for ws in cluster.worker_servers]
+        # traffic first, then scrape: engine counters hold still after it
         router_text = self._scrape(cluster.url)
+        registry = get_registry()
 
-        # decode counter: per-worker sum vs the shard="sum" aggregate.
-        # The family is already shard-labeled, and the in-process workers
-        # share one registry, so the same series shows up in both worker
-        # scrapes — dedup by shard exactly as the federator does.
+        def registry_total(name, **labels):
+            family = registry.get(name)
+            return sum(
+                child.value for values, child in family.children()
+                if all(dict(zip(family.labelnames, values))[k] == v
+                       for k, v in labels.items())
+            )
+
+        def federated(name, **labels):
+            (value,) = _family_values(
+                router_text, federated_name(name), {"shard": "sum", **labels}
+            )
+            return value
+
+        # unsharded, instance-labeled families
+        for name, labels in (
+            ("repro_engine_queries_served_total", {}),
+            ("repro_engine_encode_total", {"mode": "full"}),
+            ("repro_engine_predict_calls_total", {}),
+        ):
+            total = registry_total(name, **labels)
+            assert total > 0
+            assert federated(name, **labels) == total
+
+        # a shard-labeled family: per-shard children and their sum
         decode = "repro_shard_decode_requests_total"
-        decode_by_shard = {}
-        for text in worker_texts:
-            for sample in parse_prometheus_text(text):
-                if sample.name == decode:
-                    decode_by_shard[sample.labels.get("shard")] = sample.value
-        worker_sum = sum(decode_by_shard.values())
-        # earlier test files may leave other shard children in the shared
-        # registry; this cluster's own two shards must be among them
-        assert {"0", "1"} <= set(decode_by_shard) and worker_sum > 0
-        (federated,) = _family_values(
-            router_text, federated_name(decode), {"shard": "sum"}
-        )
-        assert federated == worker_sum
-
-        # encode counter, per mode label
-        encode = "repro_engine_encode_total"
-        worker_encode = sum(
-            sum(_family_values(t, encode, {"mode": "full"})) for t in worker_texts
-        )
-        assert worker_encode > 0
-        (federated_encode,) = _family_values(
-            router_text, federated_name(encode), {"shard": "sum", "mode": "full"}
-        )
-        assert federated_encode == worker_encode
+        for shard in ("0", "1"):
+            (value,) = _family_values(
+                router_text, federated_name(decode), {"shard": shard}
+            )
+            assert value == registry_total(decode, shard=shard) > 0
+        assert federated(decode) == registry_total(decode)
 
     def test_max_and_per_shard_children_exported(self, cluster):
         text = self._scrape(cluster.url)

@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.baselines import build_model
+from repro.core.config import WindowConfig
 from repro.graphs.compiled import reset_compiled_cache_stats
 from repro.serving.engine import InferenceEngine
 from repro.serving.store import OnlineHistoryStore
@@ -12,8 +13,7 @@ def _engine(tiny_dataset):
     store = OnlineHistoryStore(
         tiny_dataset.num_entities,
         tiny_dataset.num_relations,
-        history_length=2,
-        use_global=True,
+        window_config=WindowConfig(history_length=2, use_global=True),
     )
     store.warm_up(tiny_dataset.train, max_timestamps=4)
     model = build_model(

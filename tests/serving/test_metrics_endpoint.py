@@ -158,8 +158,10 @@ class TestMetricsEndpoint:
         _, stats_text = _get(server.url + "/stats")
         stats = json.loads(stats_text)["server"]["endpoints"]["GET /health"]
         _, text = _get(server.url + "/metrics")
-        # /metrics was rendered after /stats, so it saw >= that count
+        # no /health request ran between the two reads: exact equality
         exported = int(re.search(
             r'repro_http_requests_total\{route="GET /health"\} (\d+)', text
         ).group(1))
-        assert exported >= stats["requests"]
+        assert exported == stats["requests"]
+        errors = re.search(r'repro_http_errors_total\{route="GET /health"\} (\d+)', text)
+        assert (int(errors.group(1)) if errors else 0) == stats["errors"]

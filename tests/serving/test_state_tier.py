@@ -178,10 +178,10 @@ class TestTieredCache:
         )
         s1 = first.get_or_encode(counting, window, model_key="regcn")
         assert counting.encodes == 1
-        assert first.tier.events["publish"] == 1
+        assert first.tier.stats()["events"]["publish"] == 1
         s2 = second.get_or_encode(counting, window, model_key="regcn")
         assert counting.encodes == 1  # tier hit, no second encode
-        assert second.tier.events["hit"] == 1
+        assert second.tier.stats()["events"]["hit"] == 1
         np.testing.assert_array_equal(s1.entity_matrix.data, s2.entity_matrix.data)
 
     def test_memory_hit_never_touches_tier(self, tmp_path, model, window):
@@ -189,10 +189,10 @@ class TestTieredCache:
             SharedEncoderStateStore(str(tmp_path), owner="a"), owner="a"
         )
         cache.get_or_encode(model, window, model_key="regcn")
-        events_before = dict(cache.tier.events)
+        events_before = cache.tier.stats()["events"]
         cache.get_or_encode(model, window, model_key="regcn")
         assert cache.hits == 1
-        assert cache.tier.events == events_before
+        assert cache.tier.stats()["events"] == events_before
 
     def test_lock_loser_falls_back_to_local_encode(self, tmp_path, model, window):
         counting = _CountingModel(model)
@@ -204,7 +204,7 @@ class TestTieredCache:
         state = cache.get_or_encode(counting, window, model_key="regcn")
         assert state is not None
         assert counting.encodes == 1  # encoded locally despite losing the lock
-        assert tier.events["fallback"] == 1
+        assert tier.stats()["events"]["fallback"] == 1
 
     def test_stats_include_tier(self, tmp_path, model, window):
         cache = TieredStateCache(
@@ -214,6 +214,48 @@ class TestTieredCache:
         stats = cache.stats()
         assert stats["tier"]["entries"] == 1
         assert stats["tier"]["events"]["publish"] == 1
+
+
+class TestCounters:
+    def test_same_owner_stores_keep_separate_counts(self, tmp_path):
+        a, b = (SharedEncoderStateStore(str(tmp_path), owner="same") for _ in range(2))
+        a.count("hit")
+        a.count("hit")
+        b.count("miss")
+        assert a.instance != b.instance
+        assert (a.stats()["events"]["hit"], a.stats()["events"]["miss"]) == (2, 0)
+        assert (b.stats()["events"]["hit"], b.stats()["events"]["miss"]) == (0, 1)
+
+
+class TestDiskBound:
+    def test_ingest_ticks_leave_at_most_two_states(self, tmp_path, tiny_dataset, model):
+        """Each tick publishes one state; only it and its predecessor stay."""
+        store = OnlineHistoryStore(
+            tiny_dataset.num_entities, tiny_dataset.num_relations,
+            window_config=WindowConfig(history_length=2),
+        )
+        store.warm_up(tiny_dataset.train)
+        cache = TieredStateCache(SharedEncoderStateStore(str(tmp_path), owner="d"), owner="d")
+        queries = np.zeros((1, 4), dtype=np.int64)
+        # a lock and a sibling's half-written file are not published states
+        (tmp_path / "state-0.npz.lock").write_bytes(b"")
+        (tmp_path / "state-0.npz.99.tmp.npz").write_bytes(b"")
+        start = store.current_time + 1
+        keys = []
+        for tick in range(6):
+            store.ingest([[tick, 0, tick + 1]], timestamp=start + tick)
+            store.flush()
+            window = store.window_for(queries)
+            cache.get_or_encode(model, window, model_key="regcn")
+            keys.append(cache._key(model, "regcn", window.fingerprint()))
+            published = [p for p in os.listdir(tmp_path) if p.endswith(".npz")
+                         and ".tmp." not in p]
+            assert len(published) == min(tick + 1, 2)
+        assert cache.tier.stats()["events"]["publish"] == 6
+        assert cache.tier.load(keys[-1]) is not None
+        assert cache.tier.load(keys[-2]) is not None
+        assert cache.tier.load(keys[-3]) is None
+        assert {"state-0.npz.lock", "state-0.npz.99.tmp.npz"} <= set(os.listdir(tmp_path))
 
 
 class TestTieredSplitEncoder:
@@ -241,7 +283,7 @@ class TestTieredSplitEncoder:
                   b.get_or_encode(model, second, "hisres")]
         assert a.stats()["encodes"] == {"full": 0, "history": 1, "query": 1}
         assert b.stats()["encodes"] == {"full": 0, "history": 0, "query": 1}
-        assert b.tier.events["hit"] == 1
+        assert b.tier.stats()["events"]["hit"] == 1
         assert a.tier.stats()["entries"] == 1  # the history state only
         for window, state in zip((first, second), states):
             with model.inference_mode():

@@ -1,9 +1,13 @@
-"""Serving stats: nearest-rank percentile edge cases, registry backing."""
+"""The ``/stats`` server section: a view over the ``repro_http_*`` families.
+
+Its latency percentiles use the nearest-rank :func:`percentile`, whose
+edge cases are pinned first.
+"""
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry, percentile
-from repro.serving.stats import EndpointStats, ServerStats
+from repro.serving.server import http_stats, record_request
 
 
 class TestPercentile:
@@ -41,11 +45,11 @@ class TestPercentile:
 
 class TestEndpointStats:
     def test_standalone_records_and_snapshots(self):
-        ep = EndpointStats()
-        ep.record(0.010)
-        ep.record(0.030)
-        ep.record(0.5, error=True)
-        snap = ep.snapshot()
+        registry = MetricsRegistry()
+        record_request(registry, "POST /predict", 0.010, error=False)
+        record_request(registry, "POST /predict", 0.030, error=False)
+        record_request(registry, "POST /predict", 0.5, error=True)
+        snap = http_stats(registry, uptime_s=1.0)["endpoints"]["POST /predict"]
         assert snap["requests"] == 3
         assert snap["errors"] == 1
         # the error latency is not folded into the percentiles
@@ -53,20 +57,19 @@ class TestEndpointStats:
         assert snap["latency_ms"]["mean"] == pytest.approx(20.0)
 
     def test_empty_snapshot(self):
-        snap = EndpointStats().snapshot()
-        assert snap["requests"] == 0
+        registry = MetricsRegistry()
+        assert http_stats(registry, uptime_s=1.0)["endpoints"] == {}
+        record_request(registry, "GET /health", 0.2, error=True)
+        snap = http_stats(registry, uptime_s=1.0)["endpoints"]["GET /health"]
+        assert snap["requests"] == 1
         assert snap["latency_ms"]["p50"] == 0.0
 
 
 class TestServerStats:
     def test_snapshot_shape_and_rates(self):
-        clock_value = [0.0]
-        stats = ServerStats(clock=lambda: clock_value[0], registry=MetricsRegistry())
-        started = stats.timer()
-        clock_value[0] = 0.25
-        stats.record("GET /health", started)
-        clock_value[0] = 2.0
-        snap = stats.snapshot()
+        registry = MetricsRegistry()
+        record_request(registry, "GET /health", 0.25, error=False)
+        snap = http_stats(registry, uptime_s=2.0)
         assert snap["uptime_s"] == 2.0
         assert snap["total_requests"] == 1
         assert snap["requests_per_s"] == 0.5
@@ -74,17 +77,11 @@ class TestServerStats:
 
     def test_metrics_registry_sees_the_same_counts(self):
         registry = MetricsRegistry()
-        stats = ServerStats(registry=registry)
-        stats.endpoint("POST /predict").record(0.002)
-        stats.endpoint("POST /predict").record(0.004, error=True)
+        record_request(registry, "POST /predict", 0.002, error=False)
+        record_request(registry, "POST /predict", 0.004, error=True)
         text = registry.render_prometheus()
         assert 'repro_http_requests_total{route="POST /predict"} 2' in text
         assert 'repro_http_errors_total{route="POST /predict"} 1' in text
         assert 'repro_http_request_latency_seconds_count{route="POST /predict"} 1' in text
         # one source of truth: the JSON snapshot reads the same objects
-        assert stats.snapshot()["endpoints"]["POST /predict"]["requests"] == 2
-
-    def test_endpoint_is_cached_per_route(self):
-        stats = ServerStats(registry=MetricsRegistry())
-        assert stats.endpoint("a") is stats.endpoint("a")
-        assert stats.endpoint("a") is not stats.endpoint("b")
+        assert http_stats(registry, uptime_s=1.0)["endpoints"]["POST /predict"]["requests"] == 2

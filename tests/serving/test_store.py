@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.config import WindowConfig
 from repro.core.window import WindowBuilder
 from repro.serving import OnlineHistoryStore
 
@@ -40,7 +41,7 @@ def _store_and_reference(track_vocabulary=False, history_length=3):
         use_global=True,
         track_vocabulary=track_vocabulary,
     )
-    store = OnlineHistoryStore(25, 5, **kwargs)
+    store = OnlineHistoryStore(25, 5, window_config=WindowConfig(**kwargs))
     reference = WindowBuilder(25, 5, **kwargs)
     return store, reference
 
@@ -98,7 +99,7 @@ class TestStreamingEquivalence:
 
 class TestIngestSemantics:
     def test_version_bumps_only_on_rollover(self):
-        store = OnlineHistoryStore(10, 3, history_length=2)
+        store = OnlineHistoryStore(10, 3, window_config=WindowConfig(history_length=2))
         v0 = store.window_version
         store.ingest([[0, 1, 2]], timestamp=0)
         store.ingest([[1, 1, 3]], timestamp=0)  # same snapshot, no bump
@@ -141,7 +142,7 @@ class TestIngestSemantics:
             store.ingest([[0, 0]], timestamp=0)
 
     def test_window_respects_history_length(self):
-        store = OnlineHistoryStore(10, 3, history_length=2)
+        store = OnlineHistoryStore(10, 3, window_config=WindowConfig(history_length=2))
         for t in range(5):
             store.ingest([[t % 10, 0, (t + 1) % 10]], timestamp=t)
         store.flush()
@@ -160,7 +161,7 @@ class TestIngestSemantics:
         assert store.stats()["total_events"] == 0
 
     def test_stats_shape(self, tiny_dataset):
-        store = OnlineHistoryStore(25, 5, history_length=3)
+        store = OnlineHistoryStore(25, 5, window_config=WindowConfig(history_length=3))
         store.warm_up(tiny_dataset.train)
         stats = store.stats()
         assert stats["window_snapshots"] == 3
