@@ -2,17 +2,23 @@
 
 Mechanism kept: **long-term dependencies through same-entity links** —
 the original connects every occurrence of an entity across timestamps
-so a GNN can mix information over the whole history.  We reproduce the
-effect with an exponential-moving-average "long-term memory" per entity
-updated as history is walked, fused with the short-term (recent-window)
-evolution by a learned gate.  Simplifications: the explicit temporal
-supergraph is replaced by its fixed-point — the EMA — which is what the
-same-entity chain converges to under mean aggregation.
+so a GNN can mix information over the whole history.  We keep the fixed
+point of one mean-aggregation step over that same-entity history: the
+long-term memory of entity ``n`` is the mean, over ``n``'s distinct
+historical facts ``(n, r, o)`` (inverse facts included), of
+``(e_n + e_o) / 2``, from the current entity table.  A learned gate
+fuses it with the short-term (recent-window) evolution.  The explicit
+temporal supergraph is the simplification.
+
+The memory is read from the window's history facts, so an encode is a
+pure function of the weights and the window: cached, tier-shared and
+fresh encodes are interchangeable.
 
 The reproduction detail HisRES's related-work section calls out —
 "incorporates redundant information from distant timestamps" — shows up
-here as the EMA's insensitivity to recency, which is exactly why HGLS
-trails query-conditioned global structuring (LogCL, HisRES).
+here as the memory's insensitivity to recency: every historical fact
+weighs the same, which is exactly why HGLS trails query-conditioned
+global structuring (LogCL, HisRES).
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import Embedding, Linear, cross_entropy
+from repro.nn.segment import SegmentLayout, segment_sum_data
 from repro.nn.tensor import Tensor
 from repro.baselines.base import ModelRequirements, TKGBaseline
 from repro.core.decoder import ConvTransEDecoder
@@ -29,13 +36,7 @@ from repro.core.window import HistoryWindow
 
 
 class HGLS(TKGBaseline):
-    """Short-term recurrent encoder + long-term same-entity memory.
-
-    Note: :meth:`encode` is split (state = fused matrices) but also
-    *observes* the newest snapshot into the long-term memory — a cache
-    hit skips the observation, which is correct: the memory only wants
-    each snapshot absorbed once per chronological walk.
-    """
+    """Short-term recurrent encoder + long-term same-entity memory."""
 
     requirements = ModelRequirements(recent_snapshots=True)
     supports_query_scoping = True
@@ -48,14 +49,12 @@ class HGLS(TKGBaseline):
         num_layers: int = 2,
         dropout: float = 0.1,
         alpha: float = 0.7,
-        memory_decay: float = 0.9,
         channels: int = 8,
         kernel_size: int = 3,
     ):
         super().__init__(num_entities, num_relations)
         self.dim = dim
         self.alpha = alpha
-        self.memory_decay = memory_decay
         self.entity = Embedding(num_entities, dim)
         self.relation = Embedding(2 * num_relations, dim)
         self.short_encoder = MultiGranularityEvolutionaryEncoder(
@@ -69,46 +68,21 @@ class HGLS(TKGBaseline):
         self.fuse_gate = Linear(dim, dim)
         self.entity_decoder = ConvTransEDecoder(dim, channels=channels, kernel_size=kernel_size, dropout=dropout)
         self.relation_decoder = ConvTransEDecoder(dim, channels=channels, kernel_size=kernel_size, dropout=dropout)
-        # long-term memory: EMA of co-occurrence-mixed embeddings,
-        # maintained as *data* (inference-time input, like a vocabulary)
-        self._memory = np.zeros((num_entities, dim))
-        self._memory_seen = np.zeros(num_entities, dtype=bool)
 
     # ------------------------------------------------------------------
-    def observe(self, quads: np.ndarray) -> None:
-        """Update the long-term memory with one snapshot's facts.
-
-        Call in chronological order (the Trainer's walk does this via
-        ``predict_entities``/``loss`` which observe lazily from the
-        window's most recent snapshot)."""
-        quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
-        if len(quads) == 0:
-            return
-        emb = self.entity.weight.data
-        for s, _, o, _ in quads:
-            blended = 0.5 * (emb[s] + emb[o])
-            for node in (int(s), int(o)):
-                if self._memory_seen[node]:
-                    self._memory[node] = (
-                        self.memory_decay * self._memory[node]
-                        + (1 - self.memory_decay) * blended
-                    )
-                else:
-                    self._memory[node] = blended
-                    self._memory_seen[node] = True
+    def long_term_memory(self, window: HistoryWindow) -> np.ndarray:
+        """Per entity, the mean of ``(e_n + e_o) / 2`` over its distinct
+        historical facts, in global entity ids; 0 for an entity with no
+        history.  Data, not a graph node: no gradient reaches it."""
+        if window.facts is None:
+            raise RuntimeError("HGLS reads window.facts; build windows with WindowBuilder")
+        table = self.entity.weight.data
+        layout = SegmentLayout(window.facts.subjects, self.num_entities)
+        sums = segment_sum_data(table[window.facts.objects], layout)
+        object_mean = sums / np.maximum(layout.counts, 1)[:, None]
+        return np.where(layout.nonempty[:, None], 0.5 * (table + object_mean), 0.0)
 
     def encode(self, window: HistoryWindow) -> EncoderState:
-        # lazily absorb the newest snapshot into the long-term memory —
-        # but never from a scoped window: its snapshots carry *local*
-        # entity ids and sampled edge subsets, either of which would
-        # corrupt the global EMA.  The chronological walk that owns the
-        # memory always also encodes the full window.
-        if window.snapshots and not window.is_scoped:
-            newest = window.snapshots[-1]
-            quads = np.stack(
-                [newest.src, newest.rel, newest.dst, np.zeros_like(newest.src)], axis=1
-            )
-            self.observe(quads)
         e_short, _, relation_matrix = self.short_encoder(
             window.scope_entities(self.entity.all()),
             self.relation.all(),
@@ -116,9 +90,7 @@ class HGLS(TKGBaseline):
             [],
             window.deltas,
         )
-        long_term = Tensor(
-            self._memory if not window.is_scoped else self._memory[window.local_nodes]
-        )
+        long_term = window.scope_entities(Tensor(self.long_term_memory(window)))
         gate = self.fuse_gate(e_short).sigmoid()
         fused = gate * e_short + (1.0 - gate) * long_term
         return self._make_state(window, fused, relation_matrix)

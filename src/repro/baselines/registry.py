@@ -38,6 +38,11 @@ class ModelSpec:
     is_temporal_local: bool = False
     is_temporal_global: bool = False
 
+    def window_flags(self) -> Dict[str, bool]:
+        """The ``WindowBuilder``/``Trainer`` flags this model's windows need."""
+        needs = self.requirements
+        return {"use_global": needs.global_graph, "track_vocabulary": needs.vocabulary}
+
 
 def _hisres_factory(num_entities: int, num_relations: int, dim: int = 32, **kwargs) -> HisRES:
     config = HisRESConfig(embedding_dim=dim, **kwargs)

@@ -49,6 +49,19 @@ def _load_dataset(args):
     return generate_dataset(args.dataset)
 
 
+def _fresh_trainer(args, dataset):
+    """A Trainer over a new ``args.model``, its window flags from the registry."""
+    from repro.baselines import build_model
+    from repro.training import Trainer
+
+    model = build_model(args.model, dataset.num_entities, dataset.num_relations, dim=args.dim)
+    return Trainer(
+        model, dataset, history_length=args.history_length,
+        **MODEL_REGISTRY[args.model].window_flags(),
+        learning_rate=args.lr, seed=args.seed,
+    )
+
+
 def cmd_generate(args) -> int:
     dataset = generate_dataset(args.profile, seed=args.seed)
     save_tsv(dataset, args.output)
@@ -499,21 +512,12 @@ def cmd_figure5(args) -> int:
 
 def cmd_forecast(args) -> int:
     from repro.core import Forecaster
-    from repro.baselines import build_model
-    from repro.training import Trainer
 
     dataset = _load_dataset(args)
-    spec = MODEL_REGISTRY[args.model]
-    model = build_model(args.model, dataset.num_entities, dataset.num_relations, dim=args.dim)
-    trainer = Trainer(
-        model, dataset, history_length=args.history_length,
-        use_global=spec.requirements.global_graph or args.model == "hisres",
-        track_vocabulary=spec.requirements.vocabulary,
-        learning_rate=args.lr, seed=args.seed,
-    )
+    trainer = _fresh_trainer(args, dataset)
     trainer.fit(epochs=args.epochs, patience=args.patience)
     forecaster = Forecaster(
-        model, dataset.num_entities, dataset.num_relations,
+        trainer.model, dataset.num_entities, dataset.num_relations,
         window_config=trainer.window_config,
     )
     forecaster.warm_up(dataset.train)
@@ -525,20 +529,11 @@ def cmd_forecast(args) -> int:
 
 def cmd_degradation(args) -> int:
     from repro.analysis import history_dependence
-    from repro.baselines import build_model
-    from repro.training import Trainer
 
     dataset = _load_dataset(args)
-    spec = MODEL_REGISTRY[args.model]
-    model = build_model(args.model, dataset.num_entities, dataset.num_relations, dim=args.dim)
-    trainer = Trainer(
-        model, dataset, history_length=args.history_length,
-        use_global=spec.requirements.global_graph or args.model == "hisres",
-        track_vocabulary=spec.requirements.vocabulary,
-        learning_rate=args.lr, seed=args.seed,
-    )
+    trainer = _fresh_trainer(args, dataset)
     trainer.fit(epochs=args.epochs, patience=args.patience)
-    summary = history_dependence(model, dataset, trainer.window_builder)
+    summary = history_dependence(trainer.model, dataset, trainer.window_builder)
     print(json.dumps(summary, indent=2))
     return 0
 
@@ -584,20 +579,12 @@ def cmd_profile(args) -> int:
     for essentially all of the step wall-clock, then writes the
     individual op invocations as a Chrome trace.
     """
-    from repro.baselines import build_model
     from repro.nn import clip_grad_norm_, no_grad
     from repro.obs import OpProfiler, enable_tracing, span
-    from repro.training import Trainer
 
     dataset = _load_dataset(args)
-    spec = MODEL_REGISTRY[args.model]
-    model = build_model(args.model, dataset.num_entities, dataset.num_relations, dim=args.dim)
-    trainer = Trainer(
-        model, dataset, history_length=args.history_length,
-        use_global=spec.requirements.global_graph or args.model == "hisres",
-        track_vocabulary=spec.requirements.vocabulary,
-        learning_rate=args.lr, seed=args.seed,
-    )
+    trainer = _fresh_trainer(args, dataset)
+    model = trainer.model
     if args.trace:
         enable_tracing(reset=True)
     builder = trainer.window_builder
@@ -655,25 +642,12 @@ def cmd_profile(args) -> int:
 
 def cmd_mechanisms(args) -> int:
     from repro.analysis import per_mechanism_metrics
-    from repro.baselines import build_model
-    from repro.core.window import WindowBuilder
-    from repro.training import Trainer
 
     profile = get_profile(args.dataset)
     dataset = generate_dataset(args.dataset)
-    spec = MODEL_REGISTRY[args.model]
-    model = build_model(args.model, dataset.num_entities, dataset.num_relations, dim=args.dim)
-    trainer = Trainer(
-        model,
-        dataset,
-        history_length=args.history_length,
-        use_global=spec.requirements.global_graph or args.model == "hisres",
-        track_vocabulary=spec.requirements.vocabulary,
-        learning_rate=args.lr,
-        seed=args.seed,
-    )
+    trainer = _fresh_trainer(args, dataset)
     trainer.fit(epochs=args.epochs, patience=args.patience)
-    result = per_mechanism_metrics(model, dataset, profile, trainer.window_builder)
+    result = per_mechanism_metrics(trainer.model, dataset, profile, trainer.window_builder)
     print(json.dumps(result, indent=2))
     return 0
 

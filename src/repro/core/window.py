@@ -3,9 +3,9 @@
 The trainer walks the timeline; at each prediction timestamp it packages
 the ``l`` most recent snapshot graphs, the merged inter-snapshot graphs,
 the time deltas, the globally relevant graph G^H_t and the vocabulary
-index into a :class:`HistoryWindow`.  The last two are reads of one
-:class:`~repro.graphs.history.HistoryIndex` that :meth:`WindowBuilder.absorb`
-feeds once per snapshot.
+index into a :class:`HistoryWindow`.  The last two, and the window's
+``facts``, are reads of one :class:`~repro.graphs.history.HistoryIndex`
+that :meth:`WindowBuilder.absorb` feeds once per snapshot.
 
 Graph builds are cached at the window level so they are paid once per
 *distinct content*, not once per request:
@@ -38,7 +38,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graphs.history import HistoryIndex, VocabularyIndex
+from repro.graphs.history import HistoryFacts, HistoryIndex, VocabularyIndex
 from repro.graphs.merge import merge_snapshots
 from repro.graphs.snapshot import SnapshotGraph, build_snapshot, stable_array_digest
 from repro.obs.lru import BoundedLRU
@@ -66,6 +66,9 @@ class HistoryWindow:
             None when the builder does not track vocabulary (consumed by
             CyGNet, TiRGN, CENET).
         prediction_time: the timestamp being predicted.
+        facts: every historical fact as global-id ``(subject, object)``
+            rows plus the builder's history version (HGLS's long-term
+            memory); scoped windows carry the full window's unchanged.
         local_nodes: sorted global entity ids when this window is an
             induced subgraph produced by :mod:`repro.graphs.sampler`
             (``local_nodes[i]`` is the global id of local entity ``i``),
@@ -80,6 +83,7 @@ class HistoryWindow:
     global_graph: Optional[SnapshotGraph]
     prediction_time: int
     vocabulary: Optional[VocabularyIndex] = None
+    facts: Optional[HistoryFacts] = None
     local_nodes: Optional[np.ndarray] = None
     _fingerprint: Optional[tuple] = field(default=None, repr=False, compare=False)
 
@@ -116,8 +120,9 @@ class HistoryWindow:
         The key has two parts, ``(history, query)``:
 
         - :meth:`history_fingerprint` covers the snapshots, the merged
-          graphs, the deltas and ``local_nodes``: everything the
-          query-independent half of an encoder reads;
+          graphs, the deltas, the facts' history version and
+          ``local_nodes``: everything the query-independent half of an
+          encoder reads;
         - the query part covers the globally relevant graph G^H_t and
           the vocabulary index, both built from the *query pairs*, so
           windows assembled for different query sets on one history
@@ -136,6 +141,7 @@ class HistoryWindow:
                 tuple(g.content_fingerprint() for g in self.snapshots),
                 tuple(g.content_fingerprint() for g in self.merged),
                 tuple(float(d) for d in self.deltas),
+                None if self.facts is None else self.facts.version,
                 None
                 if self.local_nodes is None
                 else (int(len(self.local_nodes)), stable_array_digest(self.local_nodes)),
@@ -154,8 +160,9 @@ class HistoryWindow:
 
         Equal for every window one builder state assembles at one
         prediction time, whatever the query set; changed by every
-        :meth:`WindowBuilder.absorb`.  Split encoders (HisRES, LogCL)
-        cache their history state under it.
+        :meth:`WindowBuilder.absorb`; shared by two builders only when
+        they absorbed the same history, older snapshots included.  Split
+        encoders (HisRES, LogCL) cache their history state under it.
         """
         return self.fingerprint()[0]
 
@@ -191,8 +198,8 @@ class WindowBuilder:
         self._recent_graphs: Deque[SnapshotGraph] = deque(maxlen=history_length)
         self._recent_times: Deque[int] = deque(maxlen=history_length)
         self._recent_fps: Deque[Tuple[int, int, int]] = deque(maxlen=history_length)
-        #: every absorbed fact, inverse facts included: G^H_t and the
-        #: vocabulary index both read it
+        #: every absorbed fact, inverse facts included: G^H_t, the
+        #: vocabulary index and the window's facts all read it
         self.history = HistoryIndex(max_history=global_max_history)
         # History version: advances with every absorb, and is
         # content-chained so two identical replays (epoch 1 vs epoch 2)
@@ -277,6 +284,7 @@ class WindowBuilder:
             global_graph=global_graph,
             prediction_time=prediction_time,
             vocabulary=vocabulary,
+            facts=HistoryFacts(self._version, *self.history.facts()),
         )
 
     def _global_graph(self, pairs, prediction_time: int) -> SnapshotGraph:

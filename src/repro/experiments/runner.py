@@ -119,14 +119,13 @@ def run_model_on_dataset(
     # needs several snapshots to merge); sweeps showed l=4 vs l=2 for
     # the single-granularity GNN baselines at this scale
     history_length = max(config.history_length, 4) if key == "hisres" else config.history_length
-    use_global = key in ("hisres", "logcl")
+    window_flags = spec.window_flags()
     trainer = Trainer(
         model,
         dataset,
         history_length=history_length,
         granularity=config.granularity,
-        use_global=use_global,
-        track_vocabulary=spec.requirements.vocabulary,
+        **window_flags,
         learning_rate=config.learning_rate,
         seed=config.seed,
         health=health,
@@ -187,7 +186,7 @@ def run_model_on_dataset(
                 "learning_rate": config.learning_rate,
                 "epochs": config.epochs,
                 "patience": config.patience,
-                "use_global": use_global,
+                "use_global": window_flags["use_global"],
                 "sampler": config.sampler,
             },
             metrics={

@@ -8,11 +8,13 @@
 - The history vocabulary of the related work's "category (a)" (CyGNet's
   copy mode, TiRGN's global history mask, CENET's historical split),
   read through the immutable CSR index over one window's query pairs.
+- Every fact as ``(subject, object)`` rows (:meth:`HistoryIndex.facts`),
+  HGLS's same-entity history.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -20,6 +22,15 @@ import numpy as np
 #: :func:`pair_keys`), CSR row offsets, and the sorted seen objects of
 #: each pair, concatenated.
 VocabularyIndex = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+class HistoryFacts(NamedTuple):
+    """A :meth:`HistoryIndex.facts` read and a process-stable key of the
+    history behind it (the window builder's content-chained version)."""
+
+    version: int
+    subjects: np.ndarray
+    objects: np.ndarray
 
 
 def pair_keys(subjects: np.ndarray, relations: np.ndarray) -> np.ndarray:
@@ -83,6 +94,7 @@ class HistoryIndex:
         """Forget all indexed history (start of a new epoch/run)."""
         self._keys, self._objects, self._last_t = (np.zeros(0, dtype=np.int64) for _ in range(3))
         self._last_time: Optional[int] = None
+        self._subjects: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     def add_snapshot(self, quads: np.ndarray) -> None:
@@ -130,6 +142,9 @@ class HistoryIndex:
         self._keys = np.insert(self._keys, at, k[place])
         self._objects = np.insert(self._objects, at, o[place])
         self._last_t = np.insert(self._last_t, at, last_t[place])
+        # replaced, never written in place: readers may hold them
+        self._keys.flags.writeable = self._objects.flags.writeable = False
+        self._subjects = None
 
     # ------------------------------------------------------------------
     def triples(
@@ -171,6 +186,15 @@ class HistoryIndex:
         for array in (keys, indptr, objects):
             array.flags.writeable = False
         return keys, indptr, objects
+
+    def facts(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every row as read-only ``(subject, object)`` arrays, subjects
+        ascending (rows sort by pair key): a ready sorted segment layout.
+        :meth:`add_snapshot` replaces the arrays, never writes them."""
+        if self._subjects is None:
+            self._subjects = self._keys >> 32
+            self._subjects.flags.writeable = False
+        return self._subjects, self._objects
 
     @property
     def num_pairs(self) -> int:

@@ -292,6 +292,7 @@ def induce_window(window, scope: SampleScope):
         deltas=list(window.deltas),
         global_graph=_induce_graph(window.global_graph, nodes),
         prediction_time=window.prediction_time,
+        facts=window.facts,
         local_nodes=nodes,
     )
 

@@ -49,7 +49,8 @@ from urllib.parse import parse_qs
 
 from repro.obs.health import health_counter
 from repro.obs.logging import log_event
-from repro.obs.metrics import Histogram, MetricsRegistry, get_registry
+from repro.obs.metrics import Histogram, MetricsRegistry, get_registry, new_instance
+from repro.obs.profiler import active_profiler
 from repro.obs.trace import TraceContext, activate, span
 from repro.obs.runs import RunLedger, default_ledger_path
 from repro.serving.audit import AUDIT_DEFAULT_CAPACITY, RequestAudit
@@ -80,7 +81,10 @@ class DrainableHTTPServer(ThreadingHTTPServer):
     """Threading HTTP server with in-flight tracking and graceful drain.
 
     Requests are counted on the registry's ``repro_http_*`` families
-    (:func:`record_request`); ``started`` sets ``/stats``'s ``uptime_s``.
+    (:func:`record_request`) under this server's own ``instance`` label,
+    so ``/stats`` lists only its own routes even beside other servers in
+    one process; ``started`` sets ``/stats``'s ``uptime_s``.  No server
+    starts while an ``OpProfiler`` patches ``Tensor`` process-wide.
 
     ``begin_drain()`` marks the server as draining: mutating routes
     (see :attr:`BaseJSONHandler.drain_rejected`) start answering 503
@@ -103,11 +107,14 @@ class DrainableHTTPServer(ThreadingHTTPServer):
         verbose: bool = False,
         request_log_entries: int = AUDIT_DEFAULT_CAPACITY,
     ):
+        if active_profiler() is not None:
+            raise RuntimeError("an OpProfiler is enabled; no server may run beside it")
         super().__init__(address, handler_class)
         self.verbose = verbose
         self.audit = RequestAudit(request_log_entries) if request_log_entries else None
         self.started = time.monotonic()
         self.registry = get_registry()
+        self.instance = new_instance("http")
         _http_families(self.registry)  # render on /metrics before the first request
         self._inflight = 0
         self._inflight_lock = threading.Lock()
@@ -172,50 +179,53 @@ class DrainableHTTPServer(ThreadingHTTPServer):
 
     def stats_snapshot(self) -> Dict[str, object]:
         """``/stats``'s ``server`` section, read from the registry."""
-        return http_stats(self.registry, time.monotonic() - self.started)
+        return http_stats(self.registry, self.instance, time.monotonic() - self.started)
 
 
 def _http_families(registry: MetricsRegistry):
     """The request counter, error counter and latency histogram families."""
-    route = ("route",)
+    labels = ("instance", "route")
     return (
-        registry.counter("repro_http_requests_total", "HTTP requests served.", route),
-        registry.counter("repro_http_errors_total", "HTTP requests that failed.", route),
+        registry.counter("repro_http_requests_total", "HTTP requests served.", labels),
+        registry.counter("repro_http_errors_total", "HTTP requests that failed.", labels),
         registry.histogram(
             "repro_http_request_latency_seconds",
             "HTTP request latency (successful requests).",
-            route,
+            labels,
         ),
     )
 
 
-def record_request(registry: MetricsRegistry, route: str, latency_s: float, error: bool) -> None:
+def record_request(
+    registry: MetricsRegistry, instance: str, route: str, latency_s: float, error: bool
+) -> None:
     """Count one request; only successful requests feed the latency histogram."""
     requests, errors, latency = _http_families(registry)
-    requests.labels(route).inc()
+    requests.labels(instance, route).inc()
     if error:
-        errors.labels(route).inc()
+        errors.labels(instance, route).inc()
     else:
-        latency.labels(route).observe(latency_s)
+        latency.labels(instance, route).observe(latency_s)
 
 
-def http_stats(registry: MetricsRegistry, uptime_s: float) -> Dict[str, object]:
-    """Per-route request counts and recent latency percentiles.
+def http_stats(registry: MetricsRegistry, instance: str, uptime_s: float) -> Dict[str, object]:
+    """Per-route request counts and recent latency percentiles of one server.
 
-    A view over the ``repro_http_*`` families: every route any server
-    in this process answered, since the registry is process-wide.
+    A view over the ``repro_http_*`` children labelled ``instance``.
     Latencies come from each histogram's ring of recent samples.
     """
     requests, errors, latency = _http_families(registry)
-    error_counts = {route: child.value for route, child in errors.children()}
+    error_counts = {labels: child.value for labels, child in errors.children()}
     latencies = dict(latency.children())
     endpoints = {}
-    for route, child in requests.children():
+    for labels, child in requests.children():
+        if labels[0] != instance:
+            continue
         # a route that has only failed has no latency ring
-        recent = (latencies.get(route) or Histogram()).snapshot()
-        endpoints[route[0]] = {
+        recent = (latencies.get(labels) or Histogram()).snapshot()
+        endpoints[labels[1]] = {
             "requests": int(child.value),
-            "errors": int(error_counts.get(route, 0)),
+            "errors": int(error_counts.get(labels, 0)),
             "latency_ms": {
                 name: round(recent[key] * 1e3, 3)
                 for name, key in (("mean", "recent_mean"), ("p50", "p50"),
@@ -368,7 +378,10 @@ class BaseJSONHandler(BaseHTTPRequestHandler):
             latency_s = time.perf_counter() - started
             status = self._response_status
             if status != 404:  # unknown paths would mint unbounded route labels
-                record_request(self.server.registry, name, latency_s, error=status >= 400)
+                record_request(
+                    self.server.registry, self.server.instance, name, latency_s,
+                    error=status >= 400,
+                )
             self._audit(name, latency_s * 1e3)
             self.server.request_finished()
 

@@ -131,22 +131,27 @@ class TestRPC:
 
 
 class TestHGLS:
-    def test_memory_updates_on_observe(self):
+    def test_long_term_memory_by_hand(self):
+        """Memory of n: the mean over n's distinct historical facts
+        (inverse facts included) of (e_n + e_o) / 2; 0 without history."""
         model = HGLS(E, R, dim=8)
-        assert not model._memory_seen.any()
-        model.observe(np.array([[0, 0, 1, 0]]))
-        assert model._memory_seen[0] and model._memory_seen[1]
-        assert not model._memory_seen[5]
+        b = WindowBuilder(E, R, history_length=2, use_global=False)
+        b.absorb(np.array([[0, 0, 1, 0], [2, 1, 3, 0]]))
+        # (0, 0, 1) again is the same fact; (0, 3, 1) is another one
+        b.absorb(np.array([[0, 0, 1, 1], [0, 2, 4, 1], [0, 3, 1, 1]]))
+        window = b.window_for(np.array([[0, 0, 1, 2]]), prediction_time=2)
 
-    def test_memory_ema_blends(self):
-        model = HGLS(E, R, dim=8, memory_decay=0.5)
-        model.observe(np.array([[0, 0, 1, 0]]))
-        first = model._memory[0].copy()
-        model.observe(np.array([[0, 0, 2, 1]]))
-        assert not np.allclose(model._memory[0], first)
+        e = model.entity.weight.data
 
-    def test_encode_absorbs_window(self):
-        model = HGLS(E, R, dim=8)
-        window, queries = _window()
-        model.predict_entities(window, queries)
-        assert model._memory_seen.any()
+        def half(n, o):
+            return (e[n] + e[o]) / 2
+
+        expected = np.zeros_like(e)
+        expected[0] = (half(0, 1) + half(0, 4) + half(0, 1)) / 3
+        expected[1] = (half(1, 0) + half(1, 0)) / 2
+        expected[2] = half(2, 3)
+        expected[3] = half(3, 2)
+        expected[4] = half(4, 0)
+        memory = model.long_term_memory(window)
+        np.testing.assert_allclose(memory, expected, rtol=0, atol=1e-12)
+        assert not memory[5:].any()  # entities 5.. have no history

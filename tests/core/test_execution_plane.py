@@ -272,6 +272,37 @@ class TestSplitEncoderCache:
         assert not any(s.parent in spans for s in spans)
 
 
+def _registry_builder(key):
+    """A builder assembling everything the registered model reads."""
+    spec = MODEL_REGISTRY[key]
+    return WindowBuilder(E, R, history_length=2, **spec.window_flags())
+
+
+class TestEncodePurity:
+    """Purity fence: ``encode(window)`` depends only on the weights and
+    the window, **bitwise** — the contract the state cache, the state
+    tier and every parity fence rest on."""
+
+    @pytest.mark.parametrize("key", sorted(MODEL_REGISTRY))
+    def test_unrelated_encodes_leave_a_window_state_unchanged(self, key):
+        from repro.training import seed_everything
+
+        seed_everything(7)
+        model = build_model(key, E, R, dim=8)
+        window, _, _ = _window(builder=_registry_builder(key))
+        others = [
+            _window(builder=_registry_builder(key), num_snapshots=3 + seed, seed=seed)[0]
+            for seed in (1, 2, 3)
+        ]
+        with model.inference_mode():
+            first = _state_arrays(model.encode(window))
+            for other in others:
+                model.encode(other)
+            again = _state_arrays(model.encode(window))
+        assert len(first) == len(again)
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+
 class TestFloat64Parity:
     """Parity fence, cached vs live: **bitwise**.
 
@@ -287,51 +318,27 @@ class TestFloat64Parity:
         """Cached-state decode == live ``predict_entities``, bitwise."""
         from repro.training import seed_everything
 
-        spec = MODEL_REGISTRY[key]
-        # two identically-initialised instances so stateful encoders
-        # (HGLS's entity memory observes every encoded window) see the
-        # window exactly once on each route
         seed_everything(7)
-        fused_model = build_model(key, E, R, dim=8)
-        seed_everything(7)
-        plan_model = build_model(key, E, R, dim=8)
-        fused_model.eval()
-        plan_model.eval()
-        builder = WindowBuilder(
-            E, R, history_length=2,
-            use_global=spec.requirements.global_graph,
-            track_vocabulary=spec.requirements.vocabulary,
-        )
-        window, queries, _ = _window(builder=builder)
-        fused = np.asarray(fused_model.predict_entities(window, queries))
-        plan = ExecutionPlan(
-            plan_model, cache=EncoderStateCache(capacity=4, owner="parity")
-        )
+        model = build_model(key, E, R, dim=8)
+        model.eval()
+        window, queries, _ = _window(builder=_registry_builder(key))
+        live = np.asarray(model.predict_entities(window, queries))
+        plan = ExecutionPlan(model, cache=EncoderStateCache(capacity=4, owner="parity"))
         plan.entity_scores(window, queries)            # prime the cache
         cached = plan.entity_scores(window, queries)   # decode from cache
         assert plan.cache.hits >= 1
-        assert np.array_equal(cached, fused)
+        assert np.array_equal(cached, live)
 
     @pytest.mark.parametrize("key", sorted(MODEL_REGISTRY))
     def test_fused_shim_matches_predict_entities(self, key):
         """A live plan encode + decode == ``predict_entities``, bitwise."""
         from repro.training import seed_everything
 
-        spec = MODEL_REGISTRY[key]
-        # two identically-initialised instances: HGLS's memory observes
-        # every encoded window
         seed_everything(7)
-        direct_model = build_model(key, E, R, dim=8)
-        seed_everything(7)
-        plan_model = build_model(key, E, R, dim=8)
-        builder = WindowBuilder(
-            E, R, history_length=2,
-            use_global=spec.requirements.global_graph,
-            track_vocabulary=spec.requirements.vocabulary,
-        )
-        window, queries, _ = _window(builder=builder)
-        direct = np.asarray(direct_model.predict_entities(window, queries))
-        plan = ExecutionPlan(plan_model, cache=EncoderStateCache(capacity=4, owner="parity"))
+        model = build_model(key, E, R, dim=8)
+        window, queries, _ = _window(builder=_registry_builder(key))
+        direct = np.asarray(model.predict_entities(window, queries))
+        plan = ExecutionPlan(model, cache=EncoderStateCache(capacity=4, owner="parity"))
         via_plan = plan.entity_scores(window, queries)
         assert np.array_equal(via_plan, direct)
 

@@ -127,37 +127,27 @@ class TestGroupingProperties:
 class TestBlockedDecodeParity:
     @pytest.mark.parametrize("key", sorted(MODEL_REGISTRY))
     def test_blocked_walk_bitwise_equals_per_timestamp(self, key):
-        spec = MODEL_REGISTRY[key]
-        # two identically-initialised instances so stateful encoders
-        # (HGLS's entity memory) see each window exactly once per route
         seed_everything(11)
-        reference_model = build_model(key, E, R, dim=8)
-        seed_everything(11)
-        batched_model = build_model(key, E, R, dim=8)
-        reference_model.eval()
-        batched_model.eval()
+        model = build_model(key, E, R, dim=8)
+        model.eval()
 
         def make_builder():
             return WindowBuilder(
-                E,
-                R,
-                history_length=2,
-                use_global=spec.requirements.global_graph,
-                track_vocabulary=spec.requirements.vocabulary,
+                E, R, history_length=2, **MODEL_REGISTRY[key].window_flags()
             )
 
         steps_ref = _sealed_walk(make_builder(), np.random.default_rng(3))
         steps_bat = _sealed_walk(make_builder(), np.random.default_rng(3))
 
         reference_plan = ExecutionPlan(
-            reference_model, cache=EncoderStateCache(capacity=8, owner="ref")
+            model, cache=EncoderStateCache(capacity=8, owner="ref")
         )
         expected = [
             reference_plan.entity_scores(s.window, s.queries) for s in steps_ref
         ]
 
         batched_plan = ExecutionPlan(
-            batched_model, cache=EncoderStateCache(capacity=8, owner="bat")
+            model, cache=EncoderStateCache(capacity=8, owner="bat")
         )
         batcher = TimelineBatcher(batched_plan, num_entities=E, owner="parity_test")
         got = [rows for _, rows, _ in batcher.run(iter(steps_bat), entities=True)]

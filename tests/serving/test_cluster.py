@@ -139,6 +139,40 @@ class TestClusterParity:
         }
 
 
+class TestAnswerPurity:
+    """A served answer depends only on the model, the window and the
+    pair: with every cache off, a repeated pair is re-encoded from
+    scratch each time and must still answer bitwise-identically, on any
+    engine and through the cluster."""
+
+    def test_hgls_answer_ignores_request_history(self, tiny_dataset):
+        model = build_model(
+            "hgls", tiny_dataset.num_entities, tiny_dataset.num_relations, dim=8
+        )
+        uncached = dict(
+            model_key="hgls", batch_window_s=0.0, cache_entries=0, state_cache_entries=0
+        )
+        engine = InferenceEngine(model, _make_store(tiny_dataset), **uncached)
+        first = engine.predict(4, 2, top_k=5)
+        for s in range(6):
+            engine.predict(s, s % tiny_dataset.num_relations, top_k=5)
+        again = engine.predict(4, 2, top_k=5)
+        fresh = InferenceEngine(model, _make_store(tiny_dataset), **uncached).predict(
+            4, 2, top_k=5
+        )
+        cluster = launch_local_cluster([
+            ShardEngine(model, _make_store(tiny_dataset), shard, **uncached)
+            for shard in partition_entities(tiny_dataset.num_entities, 2)
+        ])
+        try:
+            sharded = ServingClient(cluster.url).predict(4, 2, top_k=5)["predictions"]
+        finally:
+            cluster.stop()
+        assert again == first
+        assert fresh == first
+        assert sharded == first
+
+
 class TestDegradedMode:
     def test_dead_worker_yields_partial_not_error(self, tiny_dataset, hisres_model):
         queries = _query_stream(tiny_dataset, n=4, top_k=5)
@@ -286,6 +320,19 @@ class TestShardEngineCounters:
 
 
 class TestClusterMetrics:
+    def test_router_stats_list_only_router_routes(self, tiny_dataset, hisres_model):
+        """Router and workers share the process registry in-process; the
+        router's ``/stats`` server section still counts only its own requests."""
+        cluster = _cluster(tiny_dataset, hisres_model, 2)
+        try:
+            client = ServingClient(cluster.url)
+            client.predict(4, 2, top_k=3)
+            server = client.stats()["server"]
+        finally:
+            cluster.stop()
+        assert list(server["endpoints"]) == ["POST /predict"]
+        assert server["total_requests"] == 1
+
     def test_per_shard_series_on_router_metrics(self, tiny_dataset, hisres_model):
         cluster = _cluster(tiny_dataset, hisres_model, 2)
         try:

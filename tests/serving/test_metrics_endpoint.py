@@ -14,7 +14,8 @@ from repro.serving import InferenceEngine, serve_in_thread
 
 _LABEL = r'[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"'
 _SAMPLE_RE = re.compile(
-    rf"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{{{_LABEL}(,{_LABEL})*\}})? -?[0-9eE+.]+(\+Inf)?$"
+    rf"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{{{_LABEL}(,{_LABEL})*\}})? "
+    r"(-?[0-9.]+([eE][+-]?[0-9]+)?|[+-]Inf|NaN)$"
 )
 
 
@@ -85,9 +86,12 @@ class TestMetricsEndpoint:
         server, _ = served
         _get(server.url + "/health")
         _, text = _get(server.url + "/metrics")
-        assert 'repro_http_request_latency_seconds_bucket{route="GET /health",le="+Inf"}' in text
-        assert 'repro_http_request_latency_seconds_count{route="GET /health"}' in text
-        assert 'repro_http_requests_total{route="GET /health"}' in text
+        labels = {"instance": server.instance, "route": "GET /health"}
+        assert _series(
+            text, "repro_http_request_latency_seconds_bucket", le="+Inf", **labels
+        ) >= 1
+        assert _series(text, "repro_http_request_latency_seconds_count", **labels) >= 1
+        assert _series(text, "repro_http_requests_total", **labels) >= 1
 
     def test_cache_and_engine_counters_exported(self, served):
         server, engine = served
@@ -159,9 +163,10 @@ class TestMetricsEndpoint:
         stats = json.loads(stats_text)["server"]["endpoints"]["GET /health"]
         _, text = _get(server.url + "/metrics")
         # no /health request ran between the two reads: exact equality
-        exported = int(re.search(
-            r'repro_http_requests_total\{route="GET /health"\} (\d+)', text
-        ).group(1))
-        assert exported == stats["requests"]
-        errors = re.search(r'repro_http_errors_total\{route="GET /health"\} (\d+)', text)
-        assert (int(errors.group(1)) if errors else 0) == stats["errors"]
+        labels = {"instance": server.instance, "route": "GET /health"}
+        assert _series(text, "repro_http_requests_total", **labels) == stats["requests"]
+        errors = [
+            s.value for s in parse_prometheus_text(text)
+            if s.name == "repro_http_errors_total" and s.labels == labels
+        ]
+        assert int(sum(errors)) == stats["errors"]

@@ -156,3 +156,15 @@ class TestErrors:
             client.predict(9999, 0)
         stats = client.stats()
         assert stats["server"]["endpoints"]["POST /predict"]["errors"] >= 1
+
+
+def test_server_refuses_a_live_op_profiler():
+    """OpProfiler patches Tensor process-wide: no server may start beside it."""
+    from repro.obs.profiler import OpProfiler
+    from repro.serving.server import BaseJSONHandler, DrainableHTTPServer
+
+    with OpProfiler():
+        with pytest.raises(RuntimeError, match="OpProfiler"):
+            DrainableHTTPServer(("127.0.0.1", 0), BaseJSONHandler)
+    server = DrainableHTTPServer(("127.0.0.1", 0), BaseJSONHandler)
+    server.server_close()

@@ -46,10 +46,10 @@ class TestPercentile:
 class TestEndpointStats:
     def test_standalone_records_and_snapshots(self):
         registry = MetricsRegistry()
-        record_request(registry, "POST /predict", 0.010, error=False)
-        record_request(registry, "POST /predict", 0.030, error=False)
-        record_request(registry, "POST /predict", 0.5, error=True)
-        snap = http_stats(registry, uptime_s=1.0)["endpoints"]["POST /predict"]
+        record_request(registry, "http1", "POST /predict", 0.010, error=False)
+        record_request(registry, "http1", "POST /predict", 0.030, error=False)
+        record_request(registry, "http1", "POST /predict", 0.5, error=True)
+        snap = http_stats(registry, "http1", uptime_s=1.0)["endpoints"]["POST /predict"]
         assert snap["requests"] == 3
         assert snap["errors"] == 1
         # the error latency is not folded into the percentiles
@@ -58,18 +58,26 @@ class TestEndpointStats:
 
     def test_empty_snapshot(self):
         registry = MetricsRegistry()
-        assert http_stats(registry, uptime_s=1.0)["endpoints"] == {}
-        record_request(registry, "GET /health", 0.2, error=True)
-        snap = http_stats(registry, uptime_s=1.0)["endpoints"]["GET /health"]
+        assert http_stats(registry, "http1", uptime_s=1.0)["endpoints"] == {}
+        record_request(registry, "http1", "GET /health", 0.2, error=True)
+        snap = http_stats(registry, "http1", uptime_s=1.0)["endpoints"]["GET /health"]
         assert snap["requests"] == 1
         assert snap["latency_ms"]["p50"] == 0.0
 
 
 class TestServerStats:
+    def test_reads_only_its_own_instance(self):
+        registry = MetricsRegistry()
+        record_request(registry, "http1", "GET /health", 0.1, error=False)
+        record_request(registry, "http2", "POST /decode", 0.1, error=False)
+        snap = http_stats(registry, "http1", uptime_s=1.0)
+        assert list(snap["endpoints"]) == ["GET /health"]
+        assert snap["total_requests"] == 1
+
     def test_snapshot_shape_and_rates(self):
         registry = MetricsRegistry()
-        record_request(registry, "GET /health", 0.25, error=False)
-        snap = http_stats(registry, uptime_s=2.0)
+        record_request(registry, "http1", "GET /health", 0.25, error=False)
+        snap = http_stats(registry, "http1", uptime_s=2.0)
         assert snap["uptime_s"] == 2.0
         assert snap["total_requests"] == 1
         assert snap["requests_per_s"] == 0.5
@@ -77,11 +85,12 @@ class TestServerStats:
 
     def test_metrics_registry_sees_the_same_counts(self):
         registry = MetricsRegistry()
-        record_request(registry, "POST /predict", 0.002, error=False)
-        record_request(registry, "POST /predict", 0.004, error=True)
+        record_request(registry, "http1", "POST /predict", 0.002, error=False)
+        record_request(registry, "http1", "POST /predict", 0.004, error=True)
         text = registry.render_prometheus()
-        assert 'repro_http_requests_total{route="POST /predict"} 2' in text
-        assert 'repro_http_errors_total{route="POST /predict"} 1' in text
-        assert 'repro_http_request_latency_seconds_count{route="POST /predict"} 1' in text
+        labels = 'instance="http1",route="POST /predict"'
+        assert f"repro_http_requests_total{{{labels}}} 2" in text
+        assert f"repro_http_errors_total{{{labels}}} 1" in text
+        assert f"repro_http_request_latency_seconds_count{{{labels}}} 1" in text
         # one source of truth: the JSON snapshot reads the same objects
-        assert http_stats(registry, uptime_s=1.0)["endpoints"]["POST /predict"]["requests"] == 2
+        assert http_stats(registry, "http1", uptime_s=1.0)["endpoints"]["POST /predict"]["requests"] == 2
