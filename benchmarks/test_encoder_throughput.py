@@ -2,7 +2,9 @@
 
 One measurement, one JSON report (``BENCH_encoder.json``): a cold query
 batch scored through the full-graph plan and through the sampler-scoped
-plan on a synthetic graph with 10x ICEWS14's entity count.  Training
+plan on a synthetic graph with 10x ICEWS14's entity count.  Both plans
+score through the same one-step :class:`TimelineBatcher` walk that
+evaluation and serving run.  Training
 step throughput is measured end to end by ``perfbench`` (``offline``).
 """
 
@@ -13,6 +15,7 @@ import numpy as np
 
 from repro.baselines import build_model
 from repro.core import EncoderStateCache, ExecutionPlan, ScopedExecutionPlan
+from repro.core.execution import TimelineBatcher, TimelineStep
 from repro.core.window import WindowBuilder
 from repro.experiments.runner import get_scale
 from repro.graphs import NeighborSampler
@@ -59,13 +62,21 @@ def _scaling_window(num_entities, num_relations, edges_per_snapshot,
     return window, queries
 
 
+def _batch_scores(plan, window, queries):
+    """Entity scores from a one-step batched timeline walk."""
+    step = TimelineStep(int(window.prediction_time), window, queries)
+    batcher = TimelineBatcher(plan, num_entities=plan.model.num_entities, owner="bench-scaling")
+    ((_, rows, _),) = batcher.run([step])
+    return rows
+
+
 def _cold_scores_seconds(make_plan, window, queries, reps):
     """Best-of-reps wall clock for one cold scoring pass (fresh plan)."""
     best = float("inf")
     for _ in range(reps):
         plan = make_plan()
         start = time.perf_counter()
-        plan.entity_scores(window, queries)
+        _batch_scores(plan, window, queries)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -110,7 +121,7 @@ def test_sampled_vs_full_encoder_scaling(benchmark):
     def run():
         # one warm pass compiles the window graphs' segment layouts so
         # both timed paths measure encode/decode math, not layout builds
-        full_plan().entity_scores(window, queries[:4])
+        _batch_scores(full_plan(), window, queries[:4])
         full_s = _cold_scores_seconds(full_plan, window, queries, reps)
         scoped_s = _cold_scores_seconds(scoped_plan, window, queries, reps)
         return full_s, scoped_s

@@ -236,7 +236,6 @@ def _build_engine(args):
         cache_entries=args.cache_entries,
         batch_window_s=args.batch_window_ms / 1e3,
         state_cache_entries=args.state_cache_entries,
-        scoped_cold_start=getattr(args, "scoped_cold_start", None),
         graph_cache_entries=getattr(args, "graph_cache_entries", None),
     )
     _warm_store(engine.store, args.warmup, args.warmup_splits)
@@ -734,10 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="WindowBuilder graph-cache LRU capacity override")
     p.add_argument("--batch-window-ms", type=float, default=2.0,
                    help="micro-batch coalescing window (0 disables the wait)")
-    p.add_argument("--scoped-cold-start", default=None, metavar="SPEC",
-                   help="fan-out spec (e.g. '8,4') serving state-cache "
-                        "misses through the query-scoped sampled plan while "
-                        "the full encode warms in the background")
     p.add_argument("--workers", type=int, default=1,
                    help="decode worker processes; >1 runs the sharded cluster "
                         "(router + entity-range workers, see `repro cluster`)")
@@ -832,9 +827,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="encoder-state LRU capacity beneath the prediction cache (0 disables)")
     p.add_argument("--graph-cache-entries", type=int, default=None, metavar="N",
                    help="WindowBuilder graph-cache LRU capacity override")
-    p.add_argument("--scoped-cold-start", default=None, metavar="SPEC",
-                   help="offline mode: serve state-cache misses through the "
-                        "query-scoped sampled plan (fan-out spec, e.g. '8,4')")
     p.add_argument("--batch-window-ms", type=float, default=0.0)
     p.add_argument("--top-k", type=int, default=10)
     p.add_argument("--inverse", action="store_true",

@@ -44,7 +44,7 @@ the batched-walk grouping invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import (
     Any,
     Callable,
@@ -283,22 +283,6 @@ class EncoderStateCache(BoundedLRU):
         """
         return self.peek(self._key(model, model_key, window.fingerprint()))
 
-    def is_warm(self, model, window: HistoryWindow, model_key: str = "model") -> bool:
-        """Whether :meth:`get_or_encode` would skip the expensive stage.
-
-        True when the full state is in memory or, for a split encoder,
-        its history state is (the query stage left is cheap).  Serving
-        uses it to decide whether a cold window should fall back to the
-        scoped (sampled) plan instead of paying a full encode on the
-        request path.  Counts like :meth:`cached_state`.
-        """
-        if self.cached_state(model, window, model_key) is not None:
-            return True
-        if not is_split_encoder(model):
-            return False
-        history_key = self._key(model, model_key, ("history", window.history_fingerprint()))
-        return self.peek(history_key) is not None
-
     def get_or_encode(self, model, window: HistoryWindow, model_key: str = "model") -> EncoderState:
         """Return the cached state for ``window`` or encode what is missing.
 
@@ -364,26 +348,6 @@ class ExecutionPlan:
         with self.model.inference_mode():
             return self.model.decode(state, queries).data
 
-    def entity_scores_range(
-        self, window: HistoryWindow, queries: np.ndarray, lo: int, hi: int
-    ) -> np.ndarray:
-        """Entity scores restricted to the candidate range ``[lo, hi)``.
-
-        The serving plane's sharded decode path: a cluster worker owning
-        entities ``[lo, hi)`` scores only its slice, and the
-        single-process engine scores the full range ``[0, |E|)`` through
-        the *same* code path, so per-shard score slices are bitwise
-        (float64) sub-arrays of the single-process score vector.
-
-        Models that can restrict their final candidate matmul override
-        ``decode_entity_range`` (tile-grid walk, see
-        :func:`candidate_scores_range`); everything else computes the
-        full decode and slices, which is range-consistent by
-        construction.
-        """
-        state = self.encode(window)
-        return self.decode_block(state, queries, lo, hi)
-
     def decode_block(
         self, state: EncoderState, queries: np.ndarray, lo: int, hi: int
     ) -> np.ndarray:
@@ -408,29 +372,6 @@ class ExecutionPlan:
         with self.model.inference_mode():
             logits = self.model.decode_relations(state, queries)
         return None if logits is None else np.asarray(logits.data)
-
-    def relation_scores(self, window: HistoryWindow, queries: np.ndarray) -> np.ndarray:
-        """Relation score matrix (n, 2|R|) for joint models."""
-        state = self.encode(window)
-        with self.model.inference_mode():
-            logits = self.model.decode_relations(state, queries)
-        if logits is None:
-            raise TypeError(
-                f"{type(self.model).__name__} has no relation decoder; "
-                "relation ranking needs a joint model (e.g. HisRES, RE-GCN)"
-            )
-        return logits.data
-
-    def entity_and_relation_scores(
-        self, window: HistoryWindow, queries: np.ndarray
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Both rankings from ONE encoder state (the evaluator hot path)."""
-        state = self.encode(window)
-        with self.model.inference_mode():
-            entity = self.model.decode(state, queries).data
-            relation_logits = self.model.decode_relations(state, queries)
-            relation = None if relation_logits is None else relation_logits.data
-        return entity, relation
 
     def loss(self, window: HistoryWindow, queries: np.ndarray) -> Tensor:
         """Training objective — encodes live under grad (truncated-BPTT-safe)."""
@@ -463,10 +404,11 @@ class ScopedExecutionPlan:
     """Query-scoped wrapper over an :class:`ExecutionPlan`.
 
     Encodes on the sampler-induced subgraph of the query batch's fan-in
-    closure and decodes against a full-size candidate matrix obtained by
-    scattering the encoded closure rows over the model's *reference*
-    matrix (its initial entity embedding table, see
-    ``scoped_reference_matrix``).  Candidates outside the closure score
+    closure and scatters the encoded closure rows over the model's
+    *reference* matrix (its initial entity embedding table, see
+    ``scoped_reference_matrix``), so the full-size state decodes through
+    the wrapped plan's :meth:`ExecutionPlan.decode_block` (the
+    :class:`TimelineBatcher` does this).  Candidates outside the closure score
     against their initial embeddings — a documented approximation that
     trades exactness on never-reachable candidates for per-batch cost
     bounded by fan-in instead of entity count.
@@ -476,8 +418,8 @@ class ScopedExecutionPlan:
 
     - **identity**: when the sampled closure covers every edge endpoint
       (always true for exhaustive fanouts), :func:`induce_window`
-      returns the original window and every call here delegates to the
-      wrapped full-graph plan — scores are bitwise-identical (float64)
+      returns the original window and :meth:`encode` and :meth:`loss`
+      delegate to the wrapped full-graph plan — scores are bitwise-identical (float64)
       by construction;
     - **reproducibility**: capped sampling is a pure function of
       (window content, seeds, fanout spec, sampler seed), so the same
@@ -491,10 +433,9 @@ class ScopedExecutionPlan:
     scope}`` only; :meth:`stats` is a view over this plan's series.
     """
 
-    def __init__(self, plan: ExecutionPlan, sampler, include_targets: bool = True):
+    def __init__(self, plan: ExecutionPlan, sampler):
         self.plan = plan
         self.sampler = sampler
-        self.include_targets = include_targets
         self.instance = new_instance("scoped")
         family = get_registry().counter(
             "repro_scoped_encodes_total",
@@ -518,7 +459,7 @@ class ScopedExecutionPlan:
     def _seeds(self, queries: np.ndarray, for_loss: bool = False) -> np.ndarray:
         queries = np.asarray(queries, dtype=np.int64)
         cols = [queries[:, 0]]
-        if for_loss and self.include_targets:
+        if for_loss:
             # gold objects must be in-closure during training so their
             # CE logits come from *encoded* rows, not initial embeddings
             cols.append(queries[:, 2])
@@ -570,47 +511,6 @@ class ScopedExecutionPlan:
             state = _encode_stages(self.model, induced, owner=f"{self.plan.model_key}.scoped")
         with self.model.inference_mode():
             return self._scatter_state(state, induced)
-
-    def entity_scores(self, window: HistoryWindow, queries: np.ndarray) -> np.ndarray:
-        if not self.supports_scoping:
-            return self.plan.entity_scores(window, queries)
-        state = self.encode(window, queries)
-        with self.model.inference_mode():
-            return self.model.decode(state, queries).data
-
-    def entity_scores_range(
-        self, window: HistoryWindow, queries: np.ndarray, lo: int, hi: int
-    ) -> np.ndarray:
-        if not self.supports_scoping:
-            return self.plan.entity_scores_range(window, queries, lo, hi)
-        state = self.encode(window, queries)
-        return self.plan.decode_block(state, queries, lo, hi)
-
-    def decode_block(
-        self, state: EncoderState, queries: np.ndarray, lo: int, hi: int
-    ) -> np.ndarray:
-        """Grouped-block decode; scoped states are already scattered to
-        full entity space by :meth:`encode`, so the wrapped plan's block
-        decode applies unchanged."""
-        return self.plan.decode_block(state, queries, lo, hi)
-
-    def decode_relations_block(
-        self, state: EncoderState, queries: np.ndarray
-    ) -> Optional[np.ndarray]:
-        return self.plan.decode_relations_block(state, queries)
-
-    def relation_scores(self, window: HistoryWindow, queries: np.ndarray) -> np.ndarray:
-        if not self.supports_scoping:
-            return self.plan.relation_scores(window, queries)
-        state = self.encode(window, queries)
-        with self.model.inference_mode():
-            logits = self.model.decode_relations(state, queries)
-        if logits is None:
-            raise TypeError(
-                f"{type(self.model).__name__} has no relation decoder; "
-                "relation ranking needs a joint model (e.g. HisRES, RE-GCN)"
-            )
-        return logits.data
 
     def loss(self, window: HistoryWindow, queries: np.ndarray) -> Tensor:
         """Sampled training objective — encodes the induced window live
@@ -692,7 +592,7 @@ class TimelineBatcher:
     The batched evaluation layer every timeline consumer (the
     :class:`~repro.training.evaluator.TimelineEvaluator`, the
     :class:`~repro.core.forecaster.Forecaster`, the serving engine's
-    warm/refresh path) routes through: steps are grouped by
+    request and refresh paths) routes through: steps are grouped by
     :func:`group_steps`, each group is encoded **once** through the
     plan's state cache, and the group's concatenated query block is
     scored by one :meth:`ExecutionPlan.decode_block` call on the global

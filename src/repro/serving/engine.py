@@ -35,12 +35,10 @@ from repro.core.config import WindowConfig
 from repro.core.execution import (
     EncoderStateCache,
     ExecutionPlan,
-    ScopedExecutionPlan,
     TimelineBatcher,
     TimelineStep,
     topk_ranked,
 )
-from repro.graphs.sampler import NeighborSampler
 from repro.nn.serialization import load_checkpoint, read_checkpoint_metadata
 from repro.obs.lru import BoundedLRU
 from repro.obs.metrics import get_registry, new_instance
@@ -166,15 +164,6 @@ class InferenceEngine:
             :class:`~repro.serving.state_tier.TieredStateCache` here so
             worker replicas consult the shared on-disk tier before
             encoding.  Overrides ``state_cache_entries``.
-        scoped_cold_start: fan-out spec (e.g. ``"8,4"``) enabling the
-            sampled cold-miss path: when the state cache holds neither
-            the full state nor a split encoder's history state for the
-            current window (``EncoderStateCache.is_warm``), the request
-            decodes through the
-            :class:`~repro.core.execution.ScopedExecutionPlan`
-            (cost bounded by the batch's fan-in, not entity count)
-            while a background thread warms the full encode.  None (the
-            default) keeps every request on the full-graph plan.
     """
 
     def __init__(
@@ -187,7 +176,6 @@ class InferenceEngine:
         metadata: Optional[Dict] = None,
         state_cache_entries: int = 8,
         state_cache: Optional[EncoderStateCache] = None,
-        scoped_cold_start: Optional[str] = None,
     ):
         self.model = model
         self.store = store
@@ -208,37 +196,13 @@ class InferenceEngine:
                 else None
             )
         self.plan = ExecutionPlan(model, cache=self.state_cache, model_key=model_key)
-        self.scoped_plan: Optional[ScopedExecutionPlan] = None
-        if scoped_cold_start is not None:
-            candidate = ScopedExecutionPlan(
-                self.plan, NeighborSampler(scoped_cold_start, owner="serving")
-            )
-            # models that don't read graphs through scope_entities
-            # can't scope; leave None so the cold-miss branch never
-            # triggers for them
-            if candidate.supports_scoping and self.state_cache is not None:
-                self.scoped_plan = candidate
-        # all decodes (request path, warm refresh, hot-pair refresh) run
-        # through the batched timeline plane so serving shares the
-        # evaluator's blocked tile-grid decode and its observability
+        # all decodes (request path, hot-pair refresh) run through the
+        # batched timeline plane so serving shares the evaluator's
+        # blocked tile-grid decode and its observability
         self._timeline = TimelineBatcher(self.plan, owner="serving")
-        self._scoped_timeline = (
-            TimelineBatcher(self.scoped_plan, owner="serving.scoped")
-            if self.scoped_plan is not None
-            else None
-        )
         # recency ring of distinct (s, r) pairs for refresh_hot_pairs
         self._hot_pairs = BoundedLRU(1024, cache="hot_pair", owner="serving")
         registry = get_registry()
-        encode_family = registry.counter(
-            "repro_engine_encode_total",
-            "Engine decode executions by encode mode (full vs scoped cold-miss).",
-            labelnames=("instance", "mode"),
-        )
-        self._encode_counters = {
-            mode: encode_family.labels(instance=self.instance, mode=mode)
-            for mode in ("full", "scoped")
-        }
         self._queries_counter = registry.counter(
             "repro_engine_queries_served_total",
             "Queries answered by the engine.",
@@ -249,9 +213,6 @@ class InferenceEngine:
             "Model forward passes executed.",
             labelnames=("instance",),
         ).labels(instance=self.instance)
-        self._warm_lock = threading.Lock()
-        self._warming: set = set()
-        self._warm_threads: List[threading.Thread] = []
         self._batcher = MicroBatcher(self._execute_batch, window_s=batch_window_s)
         # "how was this request's batch answered", per request thread,
         # for the audit plane (see last_batch_info)
@@ -267,7 +228,6 @@ class InferenceEngine:
         cache_entries: int = 4096,
         batch_window_s: float = 0.002,
         state_cache_entries: int = 8,
-        scoped_cold_start: Optional[str] = None,
         graph_cache_entries: Optional[int] = None,
         **overrides,
     ) -> "InferenceEngine":
@@ -317,7 +277,6 @@ class InferenceEngine:
             batch_window_s=batch_window_s,
             metadata=meta,
             state_cache_entries=state_cache_entries,
-            scoped_cold_start=scoped_cold_start,
         )
 
     # ------------------------------------------------------------------
@@ -398,43 +357,24 @@ class InferenceEngine:
                 queries[i, 0] = s
                 queries[i, 1] = r
             lo, hi = self._score_range()
-            scoped = False
             with span("engine.predict_batch", batch=len(pairs), misses=len(todo)):
                 with self._model_lock:
                     window = self.store.window_for(queries)
-                    scoped = self.scoped_plan is not None and not self.state_cache.is_warm(
-                        self.model, window, self.model_key
-                    )
-                    # cold miss: answer from the sampled fan-in closure
-                    # now, warm the full encode off-path; either way the
-                    # decode runs on the batched timeline plane
-                    batcher = self._scoped_timeline if scoped else self._timeline
-                    scores = self._blocked_scores(batcher, window, queries, lo, hi)
+                    scores = self._blocked_scores(window, queries, lo, hi)
                     self._forward_counter.inc()
-            mode = "scoped" if scoped else "full"
-            self._encode_counters[mode].inc()
             for i, pair in enumerate(todo):
                 results[pair] = scores[i]
-                if not scoped:
-                    # scoped scores approximate out-of-closure candidates;
-                    # keep them out of the per-pair prediction cache so the
-                    # warmed full encode serves exact scores next time
-                    self.cache.put(self._cache_key(pair, version), scores[i])
-            if scoped:
-                self._spawn_warmup(window, pairs=todo, version=version)
-        else:
-            mode = "cached"
+                self.cache.put(self._cache_key(pair, version), scores[i])
+        mode = "full" if todo else "cached"
         return results, {"encode_mode": mode, "batch": len(pairs), "cache_misses": len(todo)}
 
     # ------------------------------------------------------------------
-    def _blocked_scores(
-        self, batcher: TimelineBatcher, window, queries: np.ndarray, lo: int, hi: int
-    ) -> np.ndarray:
+    def _blocked_scores(self, window, queries: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """One-step timeline walk: serving decodes through the same
         blocked tile-grid plane as the evaluator, so sharded and
         single-process scores stay bitwise sub-arrays of each other."""
         step = TimelineStep(int(window.prediction_time), window, queries)
-        for _, rows, _ in batcher.run([step], entities=True, lo=lo, hi=hi):
+        for _, rows, _ in self._timeline.run([step], entities=True, lo=lo, hi=hi):
             return np.asarray(rows)
         raise RuntimeError("timeline batcher yielded no rows")
 
@@ -450,53 +390,10 @@ class InferenceEngine:
         lo, hi = self._score_range()
         with span("engine.refresh_pairs", pairs=len(pairs)):
             with self._model_lock:
-                scores = self._blocked_scores(self._timeline, window, queries, lo, hi)
+                scores = self._blocked_scores(window, queries, lo, hi)
         for i, pair in enumerate(pairs):
             self.cache.put(self._cache_key(pair, version), scores[i])
         return len(pairs)
-
-    def _spawn_warmup(
-        self,
-        window,
-        pairs: Sequence[Tuple[int, int]] = (),
-        version: Optional[int] = None,
-    ) -> None:
-        """Single-flight background full encode for a scoped cold miss.
-
-        After the warm encode lands, the pairs that triggered the miss
-        are re-scored from the warmed state through the batched timeline
-        plane and written to the prediction cache — the next request for
-        them serves exact scores without paying a decode.
-        """
-        fingerprint = window.fingerprint()
-        with self._warm_lock:
-            if fingerprint in self._warming:
-                return
-            self._warming.add(fingerprint)
-
-        def warm() -> None:
-            try:
-                with span("engine.warm_encode", owner=self.model_key):
-                    with self._model_lock:
-                        self.plan.encode(window)
-                if pairs and version is not None and self.store.window_version == version:
-                    self._refresh_pairs(window, list(pairs), version)
-            finally:
-                with self._warm_lock:
-                    self._warming.discard(fingerprint)
-
-        thread = threading.Thread(target=warm, daemon=True, name="engine-warm-encode")
-        with self._warm_lock:
-            self._warm_threads = [t for t in self._warm_threads if t.is_alive()]
-            self._warm_threads.append(thread)
-        thread.start()
-
-    def join_warmups(self, timeout: Optional[float] = None) -> None:
-        """Wait for in-flight warm encodes (test/shutdown hook)."""
-        with self._warm_lock:
-            threads = list(self._warm_threads)
-        for thread in threads:
-            thread.join(timeout=timeout)
 
     def reload_weights(self, path: str) -> Dict[str, object]:
         """Hot-swap model weights from a checkpoint without restarting.
@@ -615,9 +512,5 @@ class InferenceEngine:
             "state_cache": None if self.state_cache is None else self.state_cache.stats(),
             "batching": self._batcher.stats(),
             "store": self.store.stats(),
-            "encode_modes": {
-                mode: int(counter.value) for mode, counter in self._encode_counters.items()
-            },
-            "scoped_cold_start": None if self.scoped_plan is None else self.scoped_plan.stats(),
             "hot_pairs_tracked": len(self._hot_pairs),
         }

@@ -1,7 +1,7 @@
 """Router-side metrics federation: one scrape describes the cluster.
 
-The sharded tier puts interesting counters (decode requests, encode
-modes, cache hits) inside worker processes — invisible to anyone
+The sharded tier puts interesting counters (decode requests, predict
+calls, cache hits) inside worker processes — invisible to anyone
 scraping only the router.  :class:`ClusterMetricsFederator` is a
 registry collector on the router's ``/metrics``: on a TTL it scrapes
 each live worker's ``/metrics``, parses the exposition text
@@ -12,8 +12,8 @@ worker counter/gauge as an aggregated ``repro_cluster_*`` gauge family:
 - plus ``shard="sum"`` and ``shard="max"`` aggregate children per
   remaining-label group,
 
-so ``repro_engine_encode_total{mode="full"}`` on the workers becomes
-``repro_cluster_engine_encode_total{shard="sum",mode="full"}`` (and
+so ``repro_engine_predict_calls_total`` on the workers becomes
+``repro_cluster_engine_predict_calls_total{shard="sum"}`` (and
 friends) on the router.  The per-object ``instance`` label is folded
 away by summing within each worker, so a shard's value covers every
 cache or engine instance living in that worker.  Histogram families are skipped (their

@@ -5,8 +5,8 @@ The acceptance-critical properties live here:
 - exactly one live encode per distinct (timestamp, window fingerprint),
   asserted through the cache counters;
 - the cached-state decode path is *bitwise* identical (float64) to the
-  live ``forward`` / ``predict_entities`` path for every registered
-  model, across the evaluator two-phase route and the serving
+  live ``predict_entities`` path for every registered model, across
+  the evaluator two-phase route, and within 1e-9 on the serving
   micro-batch route;
 - cache keys include model version and dtype, so weight updates and
   dtype switches can never resurrect stale states;
@@ -343,7 +343,7 @@ class TestFloat64Parity:
         assert np.array_equal(via_plan, direct)
 
     def test_hisres_two_phase_eval_bitwise(self, tiny_dataset):
-        """Evaluator metrics through the plan == fused predict path, bitwise."""
+        """Evaluator metrics through the cached plan == an uncached plan, bitwise."""
         config = HisRESConfig(embedding_dim=8, history_length=2,
                               decoder_channels=4, dropout=0.0)
         model = HisRES(tiny_dataset.num_entities, tiny_dataset.num_relations, config)
@@ -361,7 +361,7 @@ class TestFloat64Parity:
         )
         assert plan.cache.misses > 0
 
-        # fused reference: no cache, plain predict_entities per phase
+        # reference: no cache, every phase encodes live
         uncached = evaluator.evaluate_walk(
             model, builder, tiny_dataset.valid,
             warmup_splits=(tiny_dataset.train,),
@@ -459,7 +459,7 @@ class TestServingRoute:
             path, batch_window_s=0.0, state_cache_entries=state_cache_entries,
         )
 
-    def test_micro_batch_parity_with_fused(self, tmp_path):
+    def test_micro_batch_parity_with_predict_entities(self, tmp_path):
         engine = self._engine(tmp_path)
         rng = np.random.default_rng(3)
         for ts in range(4):
@@ -473,8 +473,8 @@ class TestServingRoute:
         queries = np.array([[0, 1, 0, 0]], dtype=np.int64)
         window = engine.store.window_for(queries)
         with engine.model.inference_mode():
-            fused = np.asarray(engine.model.predict_entities(window, queries))[0]
-        np.testing.assert_allclose(scores, fused, atol=1e-9, rtol=0.0)
+            direct = np.asarray(engine.model.predict_entities(window, queries))[0]
+        np.testing.assert_allclose(scores, direct, atol=1e-9, rtol=0.0)
 
     def test_cold_pairs_share_encode_on_quiet_window(self, tmp_path):
         """Distinct uncached (s, r) pairs on an unchanged window hit the
@@ -533,13 +533,13 @@ class TestExecutionPlanContracts:
         with pytest.raises(ValueError, match="plan.model"):
             evaluator._resolve_plan(m2, plan)
 
-    def test_relation_scores_requires_joint_model(self):
-        model = build_model("distmult", E, R, dim=8)
-        plan = ExecutionPlan(model)
-        builder = WindowBuilder(E, R, history_length=2, use_global=False)
-        window, queries, _ = _window(builder=builder)
+    def test_relation_scores_requires_joint_model(self, tiny_dataset):
+        num_entities, num_relations = tiny_dataset.num_entities, tiny_dataset.num_relations
+        model = build_model("distmult", num_entities, num_relations, dim=8)
+        evaluator = TimelineEvaluator(tiny_dataset)
+        builder = WindowBuilder(num_entities, num_relations, history_length=2, use_global=False)
         with pytest.raises(TypeError, match="relation decoder"):
-            plan.relation_scores(window, queries)
+            evaluator.evaluate_relations(model, builder, tiny_dataset.valid, max_timestamps=1)
 
     def test_loss_encodes_live_under_grad(self):
         model = _hisres()

@@ -13,6 +13,7 @@ import pytest
 
 from repro.baselines import MODEL_REGISTRY, build_model
 from repro.core import EncoderStateCache, ExecutionPlan, ScopedExecutionPlan, scatter_rows
+from repro.core.execution import TimelineBatcher, TimelineStep
 from repro.core.window import WindowBuilder
 from repro.data import generate_dataset
 from repro.graphs import NeighborSampler
@@ -45,6 +46,16 @@ def _setup(key, dim=16):
     if hasattr(model, "eval"):
         model.eval()
     return model, window, queries
+
+
+def _scores(plan, window, queries):
+    """Entity scores through a one-step timeline walk: the encode and
+    blocked decode that evaluation and serving run, for full and scoped
+    plans alike."""
+    step = TimelineStep(int(window.prediction_time), window, queries)
+    batcher = TimelineBatcher(plan, num_entities=plan.model.num_entities, owner="test")
+    ((_, rows, _),) = batcher.run([step])
+    return rows
 
 
 class TestScatterRows:
@@ -82,8 +93,8 @@ class TestIdentityParity:
         plan = ExecutionPlan(model, cache=EncoderStateCache(owner=f"t-{key}"))
         scoped = ScopedExecutionPlan(plan, NeighborSampler("full", owner=f"t-{key}"))
         assert scoped.supports_scoping
-        full = plan.entity_scores(window, queries)
-        sampled = scoped.entity_scores(window, queries)
+        full = _scores(plan, window, queries)
+        sampled = _scores(scoped, window, queries)
         np.testing.assert_array_equal(sampled, full)
         assert scoped.stats()["identity_encodes"] >= 1
         assert scoped.stats()["scoped_encodes"] == 0
@@ -94,7 +105,7 @@ class TestIdentityParity:
         scoped = ScopedExecutionPlan(plan, NeighborSampler("2,1", owner="t-static"))
         assert not scoped.supports_scoping
         np.testing.assert_array_equal(
-            scoped.entity_scores(window, queries), plan.entity_scores(window, queries)
+            _scores(scoped, window, queries), _scores(plan, window, queries)
         )
 
 
@@ -108,7 +119,7 @@ class TestCappedScoping:
             scoped = ScopedExecutionPlan(
                 plan, NeighborSampler("2,1", seed=7, owner=f"c-{key}")
             )
-            scores.append(scoped.entity_scores(window, queries))
+            scores.append(_scores(scoped, window, queries))
         np.testing.assert_array_equal(scores[0], scores[1])
 
     def test_scoped_loss_carries_gradients(self):
@@ -132,7 +143,7 @@ class TestCappedScoping:
         scoped = ScopedExecutionPlan(
             plan, NeighborSampler("2,1", seed=7, owner="nc-regcn")
         )
-        scoped.entity_scores(window, queries)
+        _scores(scoped, window, queries)
         # the full window's state must not have been populated by the
         # scoped decode — only a real full encode may claim that key
         assert cache.cached_state(model, window) is None
@@ -146,9 +157,9 @@ class TestEncodeCounters:
         plan = ExecutionPlan(model, cache=EncoderStateCache(owner="cnt-regcn"))
         identity = ScopedExecutionPlan(plan, NeighborSampler("full", owner="cnt-full"))
         capped = ScopedExecutionPlan(plan, NeighborSampler("1", seed=7, owner="cnt-capped"))
-        identity.entity_scores(window, queries)
+        _scores(identity, window, queries)
         for _ in range(2):
-            capped.entity_scores(window, queries[:2])
+            _scores(capped, window, queries[:2])
         assert identity.stats()["identity_encodes"] == 1
         assert capped.stats()["scoped_encodes"] == 2
         samples = parse_prometheus_text(get_registry().render_prometheus())

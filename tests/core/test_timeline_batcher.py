@@ -189,10 +189,9 @@ class TestBlockedDecodeParity:
         reference_plan = ExecutionPlan(
             reference_model, cache=EncoderStateCache(capacity=8, owner="relref")
         )
-        expected = [
-            reference_plan.entity_and_relation_scores(s.window, s.queries)
-            for s in steps_ref
-        ]
+        reference = TimelineBatcher(reference_plan, num_entities=E, owner="rel_ref")
+        # per-timestamp reference: one single-step walk per step
+        expected = [next(reference.run([s], relations=True))[1:] for s in steps_ref]
         batched_plan = ExecutionPlan(
             batched_model, cache=EncoderStateCache(capacity=8, owner="relbat")
         )

@@ -164,7 +164,6 @@ def _engine_counters_case(dataset):
     def counts(engine):
         stats = engine.stats()
         return {
-            **stats["encode_modes"],
             "queries_served": stats["queries_served"],
             "predict_calls": stats["predict_calls"],
             "batches": stats["batching"]["batches"],

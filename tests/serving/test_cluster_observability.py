@@ -180,7 +180,6 @@ class TestFederatedMetrics:
         # unsharded, instance-labeled families
         for name, labels in (
             ("repro_engine_queries_served_total", {}),
-            ("repro_engine_encode_total", {"mode": "full"}),
             ("repro_engine_predict_calls_total", {}),
         ):
             total = registry_total(name, **labels)

@@ -44,6 +44,11 @@ class TestFromCheckpoint:
         engine = InferenceEngine.from_checkpoint(path, history_length=7)
         assert engine.store._builder.history_length == 7
 
+    def test_graph_cache_entries_override(self, tmp_path):
+        _, path = _checkpoint(tmp_path, key="regcn", dim=16)
+        engine = InferenceEngine.from_checkpoint(path, graph_cache_entries=9)
+        assert engine.store._builder.cache_capacity == 9
+
     def test_missing_metadata_is_a_clear_error(self, tmp_path):
         model = build_model("distmult", 5, 2, dim=4)
         path = str(tmp_path / "bare.npz")
