@@ -4,8 +4,8 @@ One measurement, one JSON report (``BENCH_encoder.json``): a cold query
 batch scored through the full-graph plan and through the sampler-scoped
 plan on a synthetic graph with 10x ICEWS14's entity count.  Both plans
 score through the same one-step :class:`TimelineBatcher` walk that
-evaluation and serving run.  Training
-step throughput is measured end to end by ``perfbench`` (``offline``).
+evaluation and serving run.  Training step throughput is measured end
+to end by ``perfbench`` (``offline``).
 """
 
 import os
@@ -65,7 +65,9 @@ def _scaling_window(num_entities, num_relations, edges_per_snapshot,
 def _batch_scores(plan, window, queries):
     """Entity scores from a one-step batched timeline walk."""
     step = TimelineStep(int(window.prediction_time), window, queries)
-    batcher = TimelineBatcher(plan, num_entities=plan.model.num_entities, owner="bench-scaling")
+    batcher = TimelineBatcher(
+        plan, num_entities=plan.model.num_entities, owner="bench-scaling"
+    )
     ((_, rows, _),) = batcher.run([step])
     return rows
 

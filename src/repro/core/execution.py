@@ -44,7 +44,7 @@ the batched-walk grouping invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import (
     Any,
     Callable,
@@ -406,12 +406,12 @@ class ScopedExecutionPlan:
     Encodes on the sampler-induced subgraph of the query batch's fan-in
     closure and scatters the encoded closure rows over the model's
     *reference* matrix (its initial entity embedding table, see
-    ``scoped_reference_matrix``), so the full-size state decodes through
-    the wrapped plan's :meth:`ExecutionPlan.decode_block` (the
-    :class:`TimelineBatcher` does this).  Candidates outside the closure score
-    against their initial embeddings — a documented approximation that
-    trades exactness on never-reachable candidates for per-batch cost
-    bounded by fan-in instead of entity count.
+    ``scoped_reference_matrix``), so the full-size state decodes
+    through the wrapped plan's :meth:`ExecutionPlan.decode_block`, as
+    :class:`TimelineBatcher` does.  Candidates outside the closure
+    score against their initial embeddings — a documented
+    approximation that trades exactness on never-reachable candidates
+    for per-batch cost bounded by fan-in instead of entity count.
 
     Two exactness fences anchor the approximation (see
     ``docs/sampling.md``):
@@ -419,8 +419,8 @@ class ScopedExecutionPlan:
     - **identity**: when the sampled closure covers every edge endpoint
       (always true for exhaustive fanouts), :func:`induce_window`
       returns the original window and :meth:`encode` and :meth:`loss`
-      delegate to the wrapped full-graph plan — scores are bitwise-identical (float64)
-      by construction;
+      delegate to the wrapped full-graph plan — scores are
+      bitwise-identical (float64) by construction;
     - **reproducibility**: capped sampling is a pure function of
       (window content, seeds, fanout spec, sampler seed), so the same
       seed yields bitwise-identical scoped scores across runs.
