@@ -52,7 +52,7 @@ def test_global_pruning_sweep(benchmark):
     def sweep():
         rows = []
         for cutoff in (5, 20, None):
-            config = HisRESConfig(embedding_dim=scale.dim, global_max_history=cutoff)
+            config = HisRESConfig(embedding_dim=scale.dim)
             start = time.perf_counter()
             result = _train_eval(config, dataset, global_max_history=cutoff)
             rows.append(

@@ -66,8 +66,7 @@ def test_cluster_decode_scaling(benchmark):
         # re-runs the decode; the encoder state stays cached
         clusters = {
             n: [
-                ShardEngine(model, store, shard, model_key="hisres",
-                            batch_window_s=0.0, cache_entries=0)
+                ShardEngine(model, store, shard, model_key="hisres", cache_entries=0)
                 for shard in partition_entities(num_entities, n)
             ]
             for n in counts

@@ -14,7 +14,7 @@ Top-level layout:
 - :mod:`repro.training` — trainer, time-aware filtered evaluation.
 - :mod:`repro.experiments` — regenerate every table/figure of the paper.
 - :mod:`repro.serving` — online inference: streaming ingestion,
-  micro-batched top-k prediction, stdlib HTTP/CLI frontend.
+  cached top-k prediction, stdlib HTTP/CLI frontend.
 - :mod:`repro.obs` — observability plane: metrics registry (Prometheus
   export), span tracer (Chrome trace_event), op-level autodiff
   profiler, structured logging.

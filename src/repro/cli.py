@@ -8,9 +8,8 @@ Commands:
   report time-filtered test metrics (``--save`` checkpoints it);
 - ``eval``      — evaluate a saved checkpoint on a dataset split;
 - ``serve``     — run the online inference HTTP server from a checkpoint
-  (``--workers N`` scales out to the sharded cluster);
-- ``cluster``   — sharded serving: router frontend + N entity-range
-  decode workers sharing an encoder-state tier;
+  (``--workers N`` runs the sharded cluster: a router frontend + N
+  entity-range decode workers sharing an encoder-state tier);
 - ``ingest``    — stream events to a running server;
 - ``predict``   — top-k query against a running server (or offline);
 - ``profile``   — run a few train/eval steps under the op-level
@@ -234,7 +233,6 @@ def _build_engine(args):
     engine = InferenceEngine.from_checkpoint(
         args.checkpoint,
         cache_entries=args.cache_entries,
-        batch_window_s=args.batch_window_ms / 1e3,
         state_cache_entries=args.state_cache_entries,
         graph_cache_entries=getattr(args, "graph_cache_entries", None),
     )
@@ -243,7 +241,7 @@ def _build_engine(args):
 
 
 def _cluster_config(args):
-    """Map serve/cluster argparse namespaces onto a ClusterConfig."""
+    """Map a ``serve --workers N`` argparse namespace onto a ClusterConfig."""
     from repro.serving import ClusterConfig
 
     return ClusterConfig(
@@ -256,7 +254,6 @@ def _cluster_config(args):
         warmup_splits=args.warmup_splits,
         cache_entries=args.cache_entries,
         state_cache_entries=args.state_cache_entries,
-        batch_window_ms=args.batch_window_ms,
         graph_cache_entries=getattr(args, "graph_cache_entries", None),
         verbose=args.verbose,
         trace=bool(getattr(args, "trace", None)),
@@ -375,13 +372,6 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_cluster(args) -> int:
-    """Explicit sharded-cluster entry point (``serve --workers N`` alias)."""
-    if args.workers < 1:
-        raise SystemExit("--workers must be >= 1")
-    return _run_cluster(args)
-
-
 def cmd_cluster_worker(args) -> int:
     """One decode worker process (spawned by the cluster supervisor).
 
@@ -407,7 +397,6 @@ def cmd_cluster_worker(args) -> int:
         state_dir=args.state_dir,
         cache_entries=args.cache_entries,
         state_cache_entries=args.state_cache_entries,
-        batch_window_s=args.batch_window_ms / 1e3,
         graph_cache_entries=args.graph_cache_entries,
     )
     _warm_store(engine.store, args.warmup, args.warmup_splits)
@@ -731,11 +720,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="encoder-state LRU capacity beneath the prediction cache (0 disables)")
     p.add_argument("--graph-cache-entries", type=int, default=None, metavar="N",
                    help="WindowBuilder graph-cache LRU capacity override")
-    p.add_argument("--batch-window-ms", type=float, default=2.0,
-                   help="micro-batch coalescing window (0 disables the wait)")
     p.add_argument("--workers", type=int, default=1,
                    help="decode worker processes; >1 runs the sharded cluster "
-                        "(router + entity-range workers, see `repro cluster`)")
+                        "(router + entity-range workers, see docs/serving_cluster.md)")
     p.add_argument("--worker-urls", default=None, metavar="URLS",
                    help="comma-separated URLs of pre-spawned cluster workers; "
                         "runs only the router frontend (no local spawn)")
@@ -750,34 +737,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-request audit ring capacity for GET /debug/requests "
                         "(0 disables; default 256)")
     p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "cluster",
-        help="sharded serving: router + N entity-range decode workers",
-    )
-    p.add_argument("checkpoint", help="checkpoint written by `train --save`")
-    p.add_argument("--workers", type=int, default=2,
-                   help="decode worker processes (entity-range shards)")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8420, help="router port")
-    p.add_argument("--state-dir", default=None, metavar="DIR",
-                   help="shared encoder-state tier directory (default: temp dir)")
-    p.add_argument("--warmup", default=None,
-                   help="profile name or .tsv to replay as history before serving")
-    p.add_argument("--warmup-splits", default="train,valid")
-    p.add_argument("--cache-entries", type=int, default=4096)
-    p.add_argument("--state-cache-entries", type=int, default=8)
-    p.add_argument("--graph-cache-entries", type=int, default=None, metavar="N",
-                   help="WindowBuilder graph-cache LRU capacity override")
-    p.add_argument("--batch-window-ms", type=float, default=0.0)
-    p.add_argument("--verbose", action="store_true", help="log every request")
-    p.add_argument("--trace", default=None, metavar="PATH",
-                   help="record router+worker spans; one merged Chrome trace "
-                        "written on shutdown")
-    p.add_argument("--request-log-entries", type=int, default=256, metavar="N",
-                   help="per-request audit ring capacity on router and workers "
-                        "(0 disables; default 256)")
-    p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser(
         "cluster-worker",
@@ -795,7 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-entries", type=int, default=4096)
     p.add_argument("--state-cache-entries", type=int, default=8)
     p.add_argument("--graph-cache-entries", type=int, default=None, metavar="N")
-    p.add_argument("--batch-window-ms", type=float, default=0.0)
     p.add_argument("--trace-spans", action="store_true",
                    help="record spans in memory and return them on /decode "
                         "(the router merges and writes the trace file)")
@@ -827,7 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="encoder-state LRU capacity beneath the prediction cache (0 disables)")
     p.add_argument("--graph-cache-entries", type=int, default=None, metavar="N",
                    help="WindowBuilder graph-cache LRU capacity override")
-    p.add_argument("--batch-window-ms", type=float, default=0.0)
     p.add_argument("--top-k", type=int, default=10)
     p.add_argument("--inverse", action="store_true",
                    help="rank subjects of (?, r, o) instead")

@@ -5,7 +5,7 @@ plus the shared :class:`WindowConfig` every window-consuming entry point
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional
 
 
@@ -46,12 +46,19 @@ class WindowConfig:
 
     @classmethod
     def from_dict(cls, data: Optional[Dict[str, Any]] = None, **overrides) -> "WindowConfig":
-        """Build from checkpoint metadata; unknown keys are ignored so
-        old checkpoints (and newer writers) stay loadable."""
-        merged = dict(data or {})
+        """Build from checkpoint metadata plus caller ``overrides``.
+
+        Unknown keys in ``data`` are ignored so old checkpoints (and
+        newer writers) stay loadable; an unknown override is a caller's
+        typo and raises :class:`TypeError` naming it.
+        """
+        names = set(cls.__dataclass_fields__)
+        unknown = sorted(set(overrides) - names)
+        if unknown:
+            raise TypeError(f"unknown window override(s): {', '.join(unknown)}")
+        merged = {k: v for k, v in (data or {}).items() if k in names}
         merged.update(overrides)
-        names = {f for f in cls.__dataclass_fields__}  # noqa: C401
-        return cls(**{k: v for k, v in merged.items() if k in names})
+        return cls(**merged)
 
     def build(self, num_entities: int, num_relations: int):
         """Construct the :class:`WindowBuilder` this config describes."""
@@ -103,12 +110,8 @@ class HisRESConfig:
     num_layers: int = 2
     dropout: float = 0.1
     alpha: float = 0.7
-    learning_rate: float = 0.001
-    grad_clip: float = 1.0
     decoder_channels: int = 8
     decoder_kernel: int = 3
-    # global graph pruning (paper §5 future work; None = keep everything)
-    global_max_history: Optional[int] = None
     # ablation switches
     use_evolution: bool = True
     use_global: bool = True
@@ -118,7 +121,6 @@ class HisRESConfig:
     use_relation_updating: bool = True
     use_time_encoding: bool = True
     global_aggregator: str = "convgat"
-    seed: int = 0
 
     def __post_init__(self):
         if self.history_length < 1:

@@ -355,12 +355,14 @@ class ExecutionPlan:
 
         The grouped-decode surface: :class:`TimelineBatcher` concatenates
         the query rows of every timestamp in a fingerprint-equal group
-        and scores the whole block here in one call.  Row ``i`` of the
-        result is bitwise-identical (float64) to decoding query ``i``
-        alone — the final candidate matmul is row-independent and walks
-        the global :data:`DECODE_TILE` grid (see
-        :func:`candidate_scores_range`), so blocking changes the call
-        count, never the numbers.
+        and scores the whole block here in one call.  The candidate
+        matmul walks the global :data:`DECODE_TILE` grid (see
+        :func:`candidate_scores_range`), so identical blocks decode
+        bitwise-identically (float64) over any entity range.  Across
+        block heights the result is only ulp-bounded: a one-row or
+        taller block can take another BLAS kernel (gemv vs gemm), so
+        row ``i`` may differ in the last bit from decoding query ``i``
+        alone.
         """
         with self.model.inference_mode():
             return np.asarray(self.model.decode_entity_range(state, queries, lo, hi))
@@ -592,13 +594,15 @@ class TimelineBatcher:
     The batched evaluation layer every timeline consumer (the
     :class:`~repro.training.evaluator.TimelineEvaluator`, the
     :class:`~repro.core.forecaster.Forecaster`, the serving engine's
-    request and refresh paths) routes through: steps are grouped by
+    request path) routes through: steps are grouped by
     :func:`group_steps`, each group is encoded **once** through the
     plan's state cache, and the group's concatenated query block is
     scored by one :meth:`ExecutionPlan.decode_block` call on the global
-    tile grid.  Per-step score rows are sliced back out, so consumers
-    see exactly the per-timestamp stream they always saw — bitwise —
-    with the decode call count divided by the group size.
+    tile grid.  Per-step score rows are sliced back out with the decode
+    call count divided by the group size.  A group of one step is
+    bitwise the per-timestamp decode; a taller group's block can take
+    another BLAS kernel, so its rows are ulp-bounded, not bitwise,
+    against per-step decodes (see ``TestBlockedReplayFence``).
 
     Args:
         plan: an :class:`ExecutionPlan` or :class:`ScopedExecutionPlan`

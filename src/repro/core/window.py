@@ -19,7 +19,7 @@ Graph builds are cached at the window level so they are paid once per
   snapshot rebuilds only the merge windows that actually changed;
 - globally relevant graphs are kept in an LRU keyed on the builder's
   history version plus the query-pair set, so repeated queries within
-  one window version (ablation sweeps, serving micro-batches) reuse the
+  one window version (ablation sweeps, repeated serving pair sets) reuse the
   materialised G^H_t.
 
 A serving store never rewinds, so after each absorb it drops the graphs

@@ -1,9 +1,9 @@
 """One bounded, thread-safe LRU for every cache in the system.
 
-Window graphs, encoder states, sampled closures, per-pair predictions
-and the serving engine's hot-pair ring all live in a
-:class:`BoundedLRU`.  Its hit, miss and evict events and its live size
-are kept only on the metrics registry, as this instance's children of
+Window graphs, encoder states, sampled closures and per-pair
+predictions all live in a :class:`BoundedLRU`.  Its hit, miss and evict
+events and its live size are kept only on the metrics registry, as this
+instance's children of
 
 - ``repro_cache_events_total{cache,owner,instance,event}``
 - ``repro_cache_entries{cache,owner,instance}``

@@ -1,12 +1,12 @@
-"""Online inference: streaming ingestion, micro-batched top-k serving.
+"""Online inference: streaming ingestion, cached top-k serving.
 
 The offline stack (``repro.training``) replays a frozen timeline; this
 package serves *live* extrapolation traffic from a trained checkpoint:
 
 - :class:`OnlineHistoryStore` — streaming quadruple ingestion over the
   rolling ``l``-snapshot window + incremental global-relevance index;
-- :class:`InferenceEngine` — checkpoint loading, LRU-cached and
-  micro-batched ``predict_entities`` calls, top-k extraction;
+- :class:`InferenceEngine` — checkpoint loading, LRU-cached decodes
+  (one forward pass per request's uncached pairs), top-k extraction;
 - :func:`create_server` / :class:`ServingServer` — stdlib JSON-over-
   HTTP frontend (``/ingest``, ``/predict``, ``/health``, ``/stats``);
 - :class:`ServingClient` — JSON client over persistent per-thread
@@ -41,7 +41,7 @@ from repro.serving.cluster import (
     build_shard_engine,
     launch_local_cluster,
 )
-from repro.serving.engine import InferenceEngine, MicroBatcher
+from repro.serving.engine import InferenceEngine
 from repro.serving.router import ClusterRouter, RouterServer, create_router_server
 from repro.serving.server import (
     DrainableHTTPServer,
@@ -70,7 +70,6 @@ __all__ = [
     "EntityShard",
     "InferenceEngine",
     "LocalCluster",
-    "MicroBatcher",
     "OnlineHistoryStore",
     "RequestAudit",
     "RouterServer",

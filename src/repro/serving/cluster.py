@@ -64,7 +64,6 @@ class ClusterConfig:
     warmup_splits: str = "train,valid"
     cache_entries: int = 4096
     state_cache_entries: int = 8
-    batch_window_ms: float = 0.0
     graph_cache_entries: Optional[int] = None
     request_timeout_s: float = 30.0
     ready_timeout_s: float = 120.0
@@ -83,7 +82,6 @@ def build_shard_engine(
     state_dir: Optional[str] = None,
     cache_entries: int = 4096,
     state_cache_entries: int = 8,
-    batch_window_s: float = 0.0,
     graph_cache_entries: Optional[int] = None,
 ) -> ShardEngine:
     """Checkpoint -> one worker's :class:`ShardEngine`.
@@ -138,7 +136,6 @@ def build_shard_engine(
         shard,
         model_key=model_key,
         cache_entries=cache_entries,
-        batch_window_s=batch_window_s,
         metadata=meta,
         state_cache_entries=state_cache_entries,
         state_cache=state_cache,
@@ -279,7 +276,6 @@ def spawn_worker(
         "--state-dir", state_dir,
         "--cache-entries", str(config.cache_entries),
         "--state-cache-entries", str(config.state_cache_entries),
-        "--batch-window-ms", str(config.batch_window_ms),
         "--request-log-entries", str(config.request_log_entries),
     ]
     if config.trace:

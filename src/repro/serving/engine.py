@@ -1,17 +1,20 @@
-"""Online inference engine: checkpoint in, micro-batched top-k out.
+"""Online inference engine: checkpoint in, top-k out.
 
 :class:`InferenceEngine` glues a registered model to an
-:class:`~repro.serving.store.OnlineHistoryStore` and adds the two
-things a server needs that the offline stack does not have:
+:class:`~repro.serving.store.OnlineHistoryStore` and adds what a server
+needs that the offline stack does not have: a **prediction cache** —
+score vectors keyed on ``(model, s, r, window_version)``; a hit skips
+the forward pass entirely, and the cache is cleared when the window
+version (or the model version) advances, since a rolling store never
+asks for an old version again.
 
-- a **prediction cache** — score vectors keyed on ``(model, s, r,
-  window_version)``; a hit skips the forward pass entirely, and the
-  cache is cleared when the window version (or the model version)
-  advances, since a rolling store never asks for an old version again;
-- a **micro-batcher** — concurrent ``predict`` calls from the threaded
-  HTTP frontend coalesce into *one* decode pass (the per-query cost is
-  dominated by the shared graph encoding, so batching is nearly free
-  throughput).
+Every request — a single ``predict``, a multi-query ``predict_many``,
+a shard's ``partial_topk`` — is answered by one call of
+:meth:`InferenceEngine._execute_batch` on the caller's thread with that
+request's own pairs, so a single query is decoded alone and its answer
+never depends on which other requests arrived with it.  Concurrent cold
+requests for one pair still run one forward pass: the second re-checks
+the prediction cache once it holds the model lock.
 
 Beneath the per-pair prediction cache sits the **encoder-state cache**
 (:class:`repro.core.execution.EncoderStateCache`): a prediction-cache
@@ -26,7 +29,6 @@ state per window content.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,105 +48,6 @@ from repro.obs.trace import span
 from repro.serving.store import OnlineHistoryStore
 
 
-class _BatchItem:
-    """One in-flight query inside the micro-batcher."""
-
-    __slots__ = ("pair", "scores", "info", "error", "ready")
-
-    def __init__(self, pair: Tuple[int, int]):
-        self.pair = pair
-        self.scores: Optional[np.ndarray] = None
-        self.info: Optional[Dict[str, object]] = None
-        self.error: Optional[BaseException] = None
-        self.ready = False
-
-
-class MicroBatcher:
-    """Coalesce concurrent score requests into one batched execution.
-
-    The first thread to find no active leader becomes the leader: it
-    waits ``window_s`` for followers to enqueue, drains the queue, and
-    runs ``execute(pairs) -> ({pair: scores}, info)`` once for the whole
-    batch.  Followers block until their item is published (or a new
-    leader election picks them up).  :meth:`submit` returns the item's
-    ``(scores, info)``, so every caller sees the info of the batch that
-    actually answered it.  Batch counts live on the registry under this
-    batcher's ``instance`` label.
-    """
-
-    def __init__(self, execute, window_s: float = 0.002, max_batch: int = 1024):
-        self._execute = execute
-        self.window_s = window_s
-        self.max_batch = max_batch
-        self._cv = threading.Condition()
-        self._queue: List[_BatchItem] = []
-        self._leader_active = False
-        self.instance = instance = new_instance("batcher")
-        registry = get_registry()
-        self._batches = registry.counter(
-            "repro_batcher_batches_total", "Micro-batches executed.", labelnames=("instance",)
-        ).labels(instance=instance)
-        self._batched_queries = registry.counter(
-            "repro_batcher_batched_queries_total",
-            "Queries coalesced into micro-batches.",
-            labelnames=("instance",),
-        ).labels(instance=instance)
-        self._max_batch_size = registry.gauge(
-            "repro_batcher_max_batch_size",
-            "Largest micro-batch executed so far.",
-            labelnames=("instance",),
-        ).labels(instance=instance)
-
-    def submit(self, pair: Tuple[int, int]) -> Tuple[np.ndarray, Dict[str, object]]:
-        item = _BatchItem(pair)
-        with self._cv:
-            self._queue.append(item)
-            while not item.ready and self._leader_active:
-                self._cv.wait(timeout=0.05)
-            if item.ready:
-                if item.error is not None:
-                    raise item.error
-                return item.scores, item.info
-            self._leader_active = True
-        # --- leader path (lock released so followers can enqueue) ---
-        if self.window_s > 0:
-            time.sleep(self.window_s)
-        with self._cv:
-            batch, self._queue = self._queue[: self.max_batch], self._queue[self.max_batch :]
-        try:
-            results, info = self._execute([b.pair for b in batch])
-            for b in batch:
-                b.scores = results[b.pair]
-                b.info = info
-                b.ready = True
-        except BaseException as exc:  # propagate to every waiter
-            for b in batch:
-                b.error = exc
-                b.ready = True
-        finally:
-            with self._cv:
-                self._leader_active = False
-                self._batches.inc()
-                self._batched_queries.inc(len(batch))
-                if len(batch) > self._max_batch_size.value:
-                    self._max_batch_size.set(len(batch))
-                self._cv.notify_all()
-        if item.error is not None:
-            raise item.error
-        return item.scores, item.info
-
-    def stats(self) -> Dict[str, object]:
-        batches = int(self._batches.value)
-        queries = int(self._batched_queries.value)
-        return {
-            "batches": batches,
-            "batched_queries": queries,
-            "max_batch_size": int(self._max_batch_size.value),
-            "mean_batch_size": round(queries / batches if batches else 0.0, 3),
-            "window_ms": self.window_s * 1e3,
-        }
-
-
 class InferenceEngine:
     """Serve top-k object predictions for ``(s, r, ?, t)`` queries.
 
@@ -155,8 +58,6 @@ class InferenceEngine:
         store: the online history state (shared with ingestion).
         model_key: registry key, used in cache keys and ``/stats``.
         cache_entries: per-pair prediction LRU capacity (0 disables).
-        batch_window_s: how long a micro-batch leader waits for
-            followers; 0 batches only what is already queued.
         state_cache_entries: encoder-state cache capacity (0 disables);
             sits beneath the prediction cache, keyed on window content.
         state_cache: pre-built encoder-state cache to use instead of
@@ -172,7 +73,6 @@ class InferenceEngine:
         store: OnlineHistoryStore,
         model_key: str = "model",
         cache_entries: int = 4096,
-        batch_window_s: float = 0.002,
         metadata: Optional[Dict] = None,
         state_cache_entries: int = 8,
         state_cache: Optional[EncoderStateCache] = None,
@@ -184,7 +84,8 @@ class InferenceEngine:
         # process-unique label of this engine's counter series
         self.instance = new_instance("engine")
         self.cache = BoundedLRU(cache_entries, cache="prediction", owner="serving")
-        # (model.version, window_version) the prediction cache holds
+        # (model.version, window_version) the prediction cache holds;
+        # the lock also guards the max-batch-size gauge's compare-and-set
         self._cache_versions: Tuple[int, int] = (-1, -1)
         self._cache_lock = threading.Lock()
         if state_cache is not None:
@@ -196,12 +97,10 @@ class InferenceEngine:
                 else None
             )
         self.plan = ExecutionPlan(model, cache=self.state_cache, model_key=model_key)
-        # all decodes (request path, hot-pair refresh) run through the
-        # batched timeline plane so serving shares the evaluator's
-        # blocked tile-grid decode and its observability
+        # every decode runs through the batched timeline plane so
+        # serving shares the evaluator's blocked tile-grid decode and
+        # its observability
         self._timeline = TimelineBatcher(self.plan, owner="serving")
-        # recency ring of distinct (s, r) pairs for refresh_hot_pairs
-        self._hot_pairs = BoundedLRU(1024, cache="hot_pair", owner="serving")
         registry = get_registry()
         self._queries_counter = registry.counter(
             "repro_engine_queries_served_total",
@@ -213,7 +112,16 @@ class InferenceEngine:
             "Model forward passes executed.",
             labelnames=("instance",),
         ).labels(instance=self.instance)
-        self._batcher = MicroBatcher(self._execute_batch, window_s=batch_window_s)
+        self._batches = registry.counter(
+            "repro_batcher_batches_total",
+            "Query batches the engine answered.",
+            labelnames=("instance",),
+        ).labels(instance=self.instance)
+        self._max_batch_size = registry.gauge(
+            "repro_batcher_max_batch_size",
+            "Largest query batch the engine answered so far.",
+            labelnames=("instance",),
+        ).labels(instance=self.instance)
         # "how was this request's batch answered", per request thread,
         # for the audit plane (see last_batch_info)
         self._per_thread = threading.local()
@@ -226,7 +134,6 @@ class InferenceEngine:
         cls,
         path: str,
         cache_entries: int = 4096,
-        batch_window_s: float = 0.002,
         state_cache_entries: int = 8,
         graph_cache_entries: Optional[int] = None,
         **overrides,
@@ -274,7 +181,6 @@ class InferenceEngine:
             store,
             model_key=model_key,
             cache_entries=cache_entries,
-            batch_window_s=batch_window_s,
             metadata=meta,
             state_cache_entries=state_cache_entries,
         )
@@ -325,46 +231,59 @@ class InferenceEngine:
     def last_batch_info(self) -> Optional[Dict[str, object]]:
         """How the calling thread's most recent request was answered.
 
-        Each HTTP request runs on its own handler thread, and the info is
-        the one carried out of the micro-batcher on that request's own
-        item, so concurrent requests landing in different batches each
-        record their own ``encode_mode``.
+        Each HTTP request runs on its own handler thread and is answered
+        by its own :meth:`_execute_batch` call, so concurrent requests
+        each record their own ``encode_mode``.
         """
         return getattr(self._per_thread, "batch_info", None)
+
+    def _cached(self, pairs, version: int, results: Dict, lookup) -> List[Tuple[int, int]]:
+        """Fill ``results`` from the prediction cache through ``lookup``
+        (``cache.get`` or ``cache.peek``); return the pairs it lacks."""
+        missing = []
+        for pair in pairs:
+            scores = lookup(self._cache_key(pair, version))
+            if scores is None:
+                missing.append(pair)
+            else:
+                results[pair] = scores
+        return missing
 
     def _execute_batch(
         self, pairs: Sequence[Tuple[int, int]]
     ) -> Tuple[Dict[Tuple[int, int], np.ndarray], Dict[str, object]]:
-        """One forward pass for every distinct uncached (s, r) pair.
+        """Answer one request's (s, r) pairs: prediction-cache hits, then
+        one forward pass for every distinct pair still uncached.
 
-        Returns the per-pair scores and the batch's info (encode mode,
-        batch size, prediction-cache misses).
+        The only way the engine answers, and the only place it counts
+        queries and batches.  Returns the per-pair scores and the
+        batch's info (encode mode, batch size, pairs decoded).
         """
         version = self.store.window_version
         self._drop_superseded(version)
+        self._queries_counter.inc(len(pairs))
+        self._batches.inc()
+        with self._cache_lock:
+            if len(pairs) > self._max_batch_size.value:
+                self._max_batch_size.set(len(pairs))
         results: Dict[Tuple[int, int], np.ndarray] = {}
-        todo: List[Tuple[int, int]] = []
-        for pair in dict.fromkeys(pairs):  # dedup, keep order
-            scores = self.cache.get(self._cache_key(pair, version))
-            if scores is not None:
-                results[pair] = scores
-            else:
-                todo.append(pair)
-            self._hot_pairs.put(pair, None)
+        todo = self._cached(dict.fromkeys(pairs), version, results, self.cache.get)
         if todo:
-            queries = np.zeros((len(todo), 4), dtype=np.int64)
-            for i, (s, r) in enumerate(todo):
-                queries[i, 0] = s
-                queries[i, 1] = r
             lo, hi = self._score_range()
             with span("engine.predict_batch", batch=len(pairs), misses=len(todo)):
                 with self._model_lock:
-                    window = self.store.window_for(queries)
-                    scores = self._blocked_scores(window, queries, lo, hi)
-                    self._forward_counter.inc()
-            for i, pair in enumerate(todo):
-                results[pair] = scores[i]
-                self.cache.put(self._cache_key(pair, version), scores[i])
+                    # single flight: a request that held the lock while
+                    # this one waited may have scored these pairs already
+                    todo = self._cached(todo, version, results, self.cache.peek)
+                    if todo:
+                        queries = np.zeros((len(todo), 4), dtype=np.int64)
+                        queries[:, :2] = todo
+                        window = self.store.window_for(queries)
+                        scores = self._blocked_scores(window, queries, lo, hi)
+                        self._forward_counter.inc()
+                        for pair, row in zip(todo, scores):
+                            results[pair] = row
+                            self.cache.put(self._cache_key(pair, version), row)
         mode = "full" if todo else "cached"
         return results, {"encode_mode": mode, "batch": len(pairs), "cache_misses": len(todo)}
 
@@ -377,23 +296,6 @@ class InferenceEngine:
         for _, rows, _ in self._timeline.run([step], entities=True, lo=lo, hi=hi):
             return np.asarray(rows)
         raise RuntimeError("timeline batcher yielded no rows")
-
-    def _refresh_pairs(self, window, pairs: List[Tuple[int, int]], version: int) -> int:
-        """Pre-score ``pairs`` against ``window`` into the prediction cache."""
-        if not pairs:
-            return 0
-        self._drop_superseded(version)
-        queries = np.zeros((len(pairs), 4), dtype=np.int64)
-        for i, (s, r) in enumerate(pairs):
-            queries[i, 0] = s
-            queries[i, 1] = r
-        lo, hi = self._score_range()
-        with span("engine.refresh_pairs", pairs=len(pairs)):
-            with self._model_lock:
-                scores = self._blocked_scores(window, queries, lo, hi)
-        for i, pair in enumerate(pairs):
-            self.cache.put(self._cache_key(pair, version), scores[i])
-        return len(pairs)
 
     def reload_weights(self, path: str) -> Dict[str, object]:
         """Hot-swap model weights from a checkpoint without restarting.
@@ -411,28 +313,6 @@ class InferenceEngine:
                 "reloaded": path,
                 "model_version": self.model.version,
             }
-
-    def refresh_hot_pairs(self, limit: int = 256) -> Dict[str, object]:
-        """Pre-score the most recently requested (s, r) pairs.
-
-        One blocked decode through the batched timeline plane refills
-        the prediction cache against the *current* window — the warm
-        path to call after :meth:`reload_weights` or a snapshot
-        rollover, so the next wave of requests for hot pairs is served
-        from cache instead of paying per-request decodes.
-        """
-        pairs = list(self._hot_pairs)[-max(0, int(limit)):]
-        if not pairs:
-            return {"refreshed": 0}
-        version = self.store.window_version
-        probe = np.zeros((len(pairs), 4), dtype=np.int64)
-        for i, (s, r) in enumerate(pairs):
-            probe[i, 0] = s
-            probe[i, 1] = r
-        with self._model_lock:
-            window = self.store.window_for(probe)
-        refreshed = self._refresh_pairs(window, pairs, version)
-        return {"refreshed": refreshed, "window_version": version}
 
     def _checked_pair(self, subject: int, relation: int, inverse: bool) -> Tuple[int, int]:
         """Validate and map to the doubled relation space."""
@@ -453,11 +333,10 @@ class InferenceEngine:
         ]
 
     def scores_for(self, subject: int, relation: int, inverse: bool = False) -> np.ndarray:
-        """Full score vector over entities (cache + micro-batch path)."""
+        """Full score vector over entities, decoded alone on a cache miss."""
         pair = self._checked_pair(subject, relation, inverse)
-        self._queries_counter.inc()
-        scores, self._per_thread.batch_info = self._batcher.submit(pair)
-        return scores
+        score_map, self._per_thread.batch_info = self._execute_batch([pair])
+        return score_map[pair]
 
     def predict(
         self,
@@ -469,8 +348,7 @@ class InferenceEngine:
         """Top-k objects for one ``(s, r, ?)`` query.
 
         ``inverse=True`` asks for subjects of ``(?, r, subject)`` via
-        the doubled relation space.  Concurrent callers coalesce into
-        one forward pass through the micro-batcher.
+        the doubled relation space.
         """
         return self._top_k(self.scores_for(subject, relation, inverse), top_k)
 
@@ -489,7 +367,6 @@ class InferenceEngine:
             )
             for q in queries
         ]
-        self._queries_counter.inc(len(parsed))
         pairs = [pair for pair, _, _ in parsed]
         score_map, self._per_thread.batch_info = self._execute_batch(pairs)
         return [
@@ -504,13 +381,19 @@ class InferenceEngine:
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
+        queries = int(self._queries_counter.value)
+        batches = int(self._batches.value)
         return {
             "model": self.model_key,
-            "queries_served": int(self._queries_counter.value),
+            "queries_served": queries,
             "predict_calls": int(self._forward_counter.value),
             "cache": self.cache.stats(),
             "state_cache": None if self.state_cache is None else self.state_cache.stats(),
-            "batching": self._batcher.stats(),
+            "batching": {
+                "batches": batches,
+                "batched_queries": queries,
+                "max_batch_size": int(self._max_batch_size.value),
+                "mean_batch_size": round(queries / batches if batches else 0.0, 3),
+            },
             "store": self.store.stats(),
-            "hot_pairs_tracked": len(self._hot_pairs),
         }

@@ -15,8 +15,9 @@ Routes (see ``docs/serving.md`` for full request/response schemas):
   ``inverse`` fields) or many (``{"queries": [...]}``, answered by one
   batched forward pass).
 
-The server is a ``ThreadingHTTPServer``: concurrent ``/predict``
-requests are coalesced by the engine's micro-batcher.
+The server is a ``ThreadingHTTPServer``: each ``/predict`` request is
+answered on its own handler thread, and concurrent requests share the
+encode through the engine's encoder-state cache.
 
 Two pieces here are deliberately generic so the cluster plane
 (:mod:`repro.serving.router`, :mod:`repro.serving.shard`) reuses them
@@ -545,7 +546,7 @@ class ServingHandler(BaseJSONHandler):
 def _engine_collector(engine: InferenceEngine, registry: MetricsRegistry):
     """Refresh the history-store gauges right before every ``/metrics`` render.
 
-    The engine's caches, batcher and counters write their series on the
+    The engine's caches and counters write their series on the
     registry themselves; only the store's live state needs reading here.
     """
     window_version = registry.gauge(

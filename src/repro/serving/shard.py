@@ -85,9 +85,9 @@ class ShardEngine(InferenceEngine):
     """Inference engine that decodes only its entity shard.
 
     Identical to the base engine except :meth:`_score_range` returns the
-    shard slice — the cached score vectors, the micro-batcher, and the
-    prediction-cache keys all operate on shard-local score arrays whose
-    columns are bitwise sub-arrays of the full decode.
+    shard slice — the cached score vectors and the prediction-cache keys
+    operate on shard-local score arrays whose columns are bitwise
+    sub-arrays of the full decode.
     """
 
     def __init__(self, model, store: OnlineHistoryStore, shard: EntityShard, **kwargs):
@@ -127,7 +127,6 @@ class ShardEngine(InferenceEngine):
             )
             for q in queries
         ]
-        self._queries_counter.inc(len(parsed))
         started = time.perf_counter()
         with span("shard.decode", shard=self.shard.index, batch=len(parsed)):
             score_map, self._per_thread.batch_info = self._execute_batch(

@@ -7,7 +7,7 @@ The acceptance-critical properties live here:
 - the cached-state decode path is *bitwise* identical (float64) to the
   live ``predict_entities`` path for every registered model, across
   the evaluator two-phase route, and within 1e-9 on the serving
-  micro-batch route;
+  engine route;
 - cache keys include model version and dtype, so weight updates and
   dtype switches can never resurrect stale states;
 - vocabulary models cache like any other model, and their states only
@@ -456,7 +456,7 @@ class TestServingRoute:
             "window": WindowConfig(history_length=2, use_global=use_global).to_dict(),
         })
         return InferenceEngine.from_checkpoint(
-            path, batch_window_s=0.0, state_cache_entries=state_cache_entries,
+            path, state_cache_entries=state_cache_entries,
         )
 
     def test_micro_batch_parity_with_predict_entities(self, tmp_path):
@@ -565,6 +565,10 @@ class TestWindowConfig:
     def test_from_dict_overrides_win(self):
         config = WindowConfig.from_dict({"history_length": 5}, history_length=7)
         assert config.history_length == 7
+
+    def test_from_dict_rejects_unknown_overrides(self):
+        with pytest.raises(TypeError, match="history_lenght"):
+            WindowConfig.from_dict({"future_knob": 1}, history_lenght=7)
 
     def test_build_matches_manual_builder(self):
         config = WindowConfig(history_length=3, use_global=True)

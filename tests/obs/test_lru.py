@@ -136,7 +136,7 @@ def _engines(dataset):
         model = build_model("distmult", dataset.num_entities, dataset.num_relations, dim=8)
         store = OnlineHistoryStore(dataset.num_entities, dataset.num_relations)
         store.warm_up(dataset.train)
-        return InferenceEngine(model, store, batch_window_s=0.0)
+        return InferenceEngine(model, store)
 
     used, idle = engine(), engine()
 

@@ -33,8 +33,7 @@ def workers(tmp_path_factory):
     })
     servers = []
     for i in range(2):
-        engine = build_shard_engine(path, shard_index=i, num_shards=2,
-                                    batch_window_s=0.0)
+        engine = build_shard_engine(path, shard_index=i, num_shards=2)
         engine.store.warm_up(dataset.train)
         server = create_worker_server(engine, port=0)
         threading.Thread(target=server.serve_forever, daemon=True).start()

@@ -42,14 +42,14 @@ def _make_store(dataset):
 
 def _single_engine(dataset, model):
     return InferenceEngine(
-        model, _make_store(dataset), model_key="hisres", batch_window_s=0.0
+        model, _make_store(dataset), model_key="hisres"
     )
 
 
 def _cluster(dataset, model, num_shards):
     engines = [
         ShardEngine(
-            model, _make_store(dataset), shard, model_key="hisres", batch_window_s=0.0
+            model, _make_store(dataset), shard, model_key="hisres"
         )
         for shard in partition_entities(dataset.num_entities, num_shards)
     ]
@@ -150,7 +150,7 @@ class TestAnswerPurity:
             "hgls", tiny_dataset.num_entities, tiny_dataset.num_relations, dim=8
         )
         uncached = dict(
-            model_key="hgls", batch_window_s=0.0, cache_entries=0, state_cache_entries=0
+            model_key="hgls", cache_entries=0, state_cache_entries=0
         )
         engine = InferenceEngine(model, _make_store(tiny_dataset), **uncached)
         first = engine.predict(4, 2, top_k=5)
@@ -202,7 +202,7 @@ class TestDegradedMode:
         engines = [
             ShardEngine(
                 hisres_model, _make_store(tiny_dataset), shard,
-                model_key="hisres", batch_window_s=0.0,
+                model_key="hisres",
             )
             for shard in partition_entities(tiny_dataset.num_entities, 2)
         ]
@@ -234,7 +234,6 @@ class TestDegradedMode:
                 _make_store(tiny_dataset),
                 cluster.router.workers[1].shard,
                 model_key="hisres",
-                batch_window_s=0.0,
             )
             server = create_worker_server(replacement)
             threading.Thread(target=server.serve_forever, daemon=True).start()
@@ -306,7 +305,7 @@ class TestShardEngineCounters:
         shard = partition_entities(tiny_dataset.num_entities, 2)[0]
         a, b = (
             ShardEngine(hisres_model, _make_store(tiny_dataset), shard,
-                        model_key="hisres", batch_window_s=0.0)
+                        model_key="hisres")
             for _ in range(2)
         )
         queries = _query_stream(tiny_dataset, n=3)
@@ -363,7 +362,6 @@ class TestClusterMetrics:
                 _make_store(tiny_dataset),
                 shard,
                 model_key="hisres",
-                batch_window_s=0.0,
                 state_cache=TieredStateCache(
                     SharedEncoderStateStore(
                         str(tmp_path), owner=f"mshard{shard.index}"

@@ -60,7 +60,7 @@ def cluster(checkpoint, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def single_engine(checkpoint):
-    engine = InferenceEngine.from_checkpoint(checkpoint, batch_window_s=0.0)
+    engine = InferenceEngine.from_checkpoint(checkpoint)
     dataset = generate_dataset(WARMUP)
     engine.store.warm_up(dataset.train)
     engine.store.warm_up(dataset.valid)

@@ -43,7 +43,7 @@ def cluster(tiny_dataset):
         return store
 
     engines = [
-        ShardEngine(model, make_store(), shard, model_key="hisres", batch_window_s=0.0)
+        ShardEngine(model, make_store(), shard, model_key="hisres")
         for shard in partition_entities(tiny_dataset.num_entities, 2)
     ]
     local = launch_local_cluster(engines)

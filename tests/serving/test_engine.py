@@ -1,13 +1,14 @@
-"""InferenceEngine: checkpoint loading, caching, micro-batching."""
+"""InferenceEngine: checkpoint loading, caching, concurrent requests."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.baselines import build_model
 from repro.nn.serialization import save_checkpoint
-from repro.serving import InferenceEngine, MicroBatcher, OnlineHistoryStore
+from repro.serving import InferenceEngine, OnlineHistoryStore
 
 
 def _checkpoint(tmp_path, key="distmult", dim=8, num_entities=25, num_relations=5,
@@ -44,6 +45,13 @@ class TestFromCheckpoint:
         engine = InferenceEngine.from_checkpoint(path, history_length=7)
         assert engine.store._builder.history_length == 7
 
+    @pytest.mark.parametrize("typo", [{"history_lenght": 7}, {"batch_window_s": 0.0}])
+    def test_unknown_override_is_a_type_error(self, tmp_path, typo):
+        # metadata is read leniently, a caller's override is not
+        _, path = _checkpoint(tmp_path)
+        with pytest.raises(TypeError, match=next(iter(typo))):
+            InferenceEngine.from_checkpoint(path, **typo)
+
     def test_graph_cache_entries_override(self, tmp_path):
         _, path = _checkpoint(tmp_path, key="regcn", dim=16)
         engine = InferenceEngine.from_checkpoint(path, graph_cache_entries=9)
@@ -60,7 +68,7 @@ class TestFromCheckpoint:
 class TestPredict:
     def test_topk_shape_and_order(self, tmp_path, tiny_dataset):
         _, path = _checkpoint(tmp_path)
-        engine = InferenceEngine.from_checkpoint(path, batch_window_s=0.0)
+        engine = InferenceEngine.from_checkpoint(path)
         engine.store.warm_up(tiny_dataset.train)
         predictions = engine.predict(0, 1, top_k=5)
         assert len(predictions) == 5
@@ -70,7 +78,7 @@ class TestPredict:
 
     def test_matches_raw_model_scores(self, tmp_path, tiny_dataset):
         _, path = _checkpoint(tmp_path)
-        engine = InferenceEngine.from_checkpoint(path, batch_window_s=0.0)
+        engine = InferenceEngine.from_checkpoint(path)
         engine.store.warm_up(tiny_dataset.train)
         queries = np.zeros((1, 4), dtype=np.int64)
         queries[0, 0], queries[0, 1] = 3, 2
@@ -80,7 +88,7 @@ class TestPredict:
 
     def test_inverse_uses_doubled_relation_space(self, tmp_path, tiny_dataset):
         _, path = _checkpoint(tmp_path)
-        engine = InferenceEngine.from_checkpoint(path, batch_window_s=0.0)
+        engine = InferenceEngine.from_checkpoint(path)
         engine.store.warm_up(tiny_dataset.train)
         direct = engine.predict(0, 1, top_k=3, inverse=False)
         inverse = engine.predict(0, 1, top_k=3, inverse=True)
@@ -88,7 +96,7 @@ class TestPredict:
 
     def test_validates_ranges(self, tmp_path):
         _, path = _checkpoint(tmp_path)
-        engine = InferenceEngine.from_checkpoint(path, batch_window_s=0.0)
+        engine = InferenceEngine.from_checkpoint(path)
         with pytest.raises(ValueError, match="subject"):
             engine.predict(99, 0)
         with pytest.raises(ValueError, match="relation"):
@@ -101,7 +109,7 @@ class TestPredict:
             window={"history_length": 3, "granularity": 2,
                     "use_global": True, "track_vocabulary": False},
         )
-        engine = InferenceEngine.from_checkpoint(path, batch_window_s=0.0)
+        engine = InferenceEngine.from_checkpoint(path)
         engine.store.warm_up(tiny_dataset.train)
         predictions = engine.predict(1, 0, top_k=4)
         assert len(predictions) == 4
@@ -111,7 +119,7 @@ class TestPredict:
 class TestCache:
     def test_repeat_query_hits_cache(self, tmp_path, tiny_dataset):
         _, path = _checkpoint(tmp_path)
-        engine = InferenceEngine.from_checkpoint(path, batch_window_s=0.0)
+        engine = InferenceEngine.from_checkpoint(path)
         engine.store.warm_up(tiny_dataset.train)
         engine.predict(0, 1)
         calls = engine.stats()["predict_calls"]
@@ -121,7 +129,7 @@ class TestCache:
 
     def test_rollover_invalidates(self, tmp_path, tiny_dataset):
         _, path = _checkpoint(tmp_path)
-        engine = InferenceEngine.from_checkpoint(path, batch_window_s=0.0)
+        engine = InferenceEngine.from_checkpoint(path)
         engine.store.warm_up(tiny_dataset.train)
         engine.predict(0, 1)
         calls = engine.stats()["predict_calls"]
@@ -137,7 +145,7 @@ class TestCache:
         # regression: the cache key once ignored model.version, so a
         # weight reload with an unchanged window served stale scores
         _, path = _checkpoint(tmp_path)
-        engine = InferenceEngine.from_checkpoint(path, batch_window_s=0.0)
+        engine = InferenceEngine.from_checkpoint(path)
         engine.store.warm_up(tiny_dataset.train)
         before = engine.predict(0, 1, top_k=5)
         window_version = engine.store.window_version
@@ -151,13 +159,13 @@ class TestCache:
         assert after != before  # new weights, not the cached response
         # and the answer matches an engine that never saw the old weights
         control = InferenceEngine(
-            fresh, engine.store, model_key="distmult", batch_window_s=0.0
+            fresh, engine.store, model_key="distmult"
         )
         assert after == control.predict(0, 1, top_k=5)
 
     def test_predict_many_single_forward_pass(self, tmp_path, tiny_dataset):
         _, path = _checkpoint(tmp_path)
-        engine = InferenceEngine.from_checkpoint(path, batch_window_s=0.0)
+        engine = InferenceEngine.from_checkpoint(path)
         engine.store.warm_up(tiny_dataset.train)
         queries = [{"subject": s, "relation": r} for s in range(4) for r in range(3)]
         results = engine.predict_many(queries, default_top_k=2)
@@ -169,7 +177,7 @@ class TestCache:
 class TestSupersededVersions:
     def test_cache_holds_only_current_version_after_rollovers(self, tmp_path, tiny_dataset):
         _, path = _checkpoint(tmp_path)
-        engine = InferenceEngine.from_checkpoint(path, batch_window_s=0.0)
+        engine = InferenceEngine.from_checkpoint(path)
         engine.store.warm_up(tiny_dataset.train)
         t = engine.store.current_time
         for step in range(6):
@@ -183,18 +191,18 @@ class TestSupersededVersions:
         assert len(keys) == 2
         assert all(key[-1] == version for key in keys)
 
-    def test_hot_pair_refresh_after_rollover_survives_next_batch(
-        self, tmp_path, tiny_dataset
-    ):
+    def test_older_version_batch_never_clears_newer_entries(self, tmp_path, tiny_dataset):
         _, path = _checkpoint(tmp_path)
-        engine = InferenceEngine.from_checkpoint(path, batch_window_s=0.0)
+        engine = InferenceEngine.from_checkpoint(path)
         engine.store.warm_up(tiny_dataset.train)
         engine.predict(0, 1)
+        old_version = engine.store.window_version
         engine.ingest([[0, 1, 2]], timestamp=engine.store.current_time + 1)
         engine.flush()
-        assert engine.refresh_hot_pairs()["refreshed"] == 1
+        engine.predict(0, 1)  # cached under the new version
         calls = engine.stats()["predict_calls"]
-        engine.predict(0, 1)  # served from the refreshed entry
+        engine._drop_superseded(old_version)  # a batch that read the old version
+        engine.predict(0, 1)
         assert engine.stats()["predict_calls"] == calls
 
 
@@ -208,9 +216,9 @@ class TestSplitEncoderServing:
             window={"history_length": 3, "granularity": 2,
                     "use_global": True, "track_vocabulary": False},
         )
-        engine = InferenceEngine.from_checkpoint(path, batch_window_s=0.0)
+        engine = InferenceEngine.from_checkpoint(path)
         control = InferenceEngine.from_checkpoint(
-            path, batch_window_s=0.0, state_cache_entries=0
+            path, state_cache_entries=0
         )
         assert control.state_cache is None
         for e in (engine, control):
@@ -227,30 +235,71 @@ class TestSplitEncoderServing:
 
 
 class TestMicroBatcher:
-    def test_concurrent_submits_coalesce(self, tmp_path, tiny_dataset):
-        _, path = _checkpoint(tmp_path)
-        engine = InferenceEngine.from_checkpoint(path, batch_window_s=0.25)
+    """Concurrent requests.  There is no micro-batcher any more (the class
+    keeps its name so existing test ids stay stable): each request is
+    answered by its own ``_execute_batch`` call on the caller's thread."""
+
+    def test_concurrent_singles_match_each_pair_asked_alone(self, tmp_path, tiny_dataset):
+        # HisRES builds G^H from the decoded pairs, so a single request
+        # co-batched with others would get a different answer
+        _, path = _checkpoint(
+            tmp_path, key="hisres", dim=8,
+            window={"history_length": 3, "granularity": 2,
+                    "use_global": True, "track_vocabulary": False},
+        )
+        pairs = [(i, i % 5) for i in range(6)]
+        engine = InferenceEngine.from_checkpoint(path)
         engine.store.warm_up(tiny_dataset.train)
-        barrier = threading.Barrier(6)
-        results = {}
+        barrier = threading.Barrier(len(pairs))
+        answers = {}
 
-        def worker(i):
+        def ask(pair):
             barrier.wait()
-            results[i] = engine.predict(i, i % 5, top_k=3)
+            answers[pair] = engine.scores_for(*pair)
 
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+        threads = [threading.Thread(target=ask, args=(pair,)) for pair in pairs]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert len(results) == 6
-        stats = engine.stats()
-        assert stats["batching"]["max_batch_size"] >= 2
-        assert stats["predict_calls"] < 6
+        alone = InferenceEngine.from_checkpoint(path)
+        alone.store.warm_up(tiny_dataset.train)
+        for pair in pairs:
+            np.testing.assert_array_equal(answers[pair], alone.scores_for(*pair))
+        assert engine.stats()["batching"]["max_batch_size"] == 1
+
+    def test_concurrent_cold_requests_for_one_pair_run_one_forward_pass(
+        self, tmp_path, tiny_dataset
+    ):
+        _, path = _checkpoint(tmp_path)
+        engine = InferenceEngine.from_checkpoint(path)
+        engine.store.warm_up(tiny_dataset.train)
+        decoding = threading.Event()
+        blocked_scores = engine._blocked_scores
+
+        def slow_first_decode(*args):
+            if not decoding.is_set():
+                decoding.set()
+                time.sleep(0.3)  # hold the model lock while the second misses
+            return blocked_scores(*args)
+
+        engine._blocked_scores = slow_first_decode
+        calls, misses = engine.stats()["predict_calls"], engine.cache.misses
+        answers = []
+        first = threading.Thread(target=lambda: answers.append(engine.scores_for(2, 1)))
+        first.start()
+        assert decoding.wait(timeout=30)
+        second = threading.Thread(target=lambda: answers.append(engine.scores_for(2, 1)))
+        second.start()
+        first.join()
+        second.join()
+        assert engine.cache.misses == misses + 2  # both missed the cache
+        assert engine.stats()["predict_calls"] == calls + 1
+        np.testing.assert_array_equal(answers[0], answers[1])
 
     def test_batched_results_match_sequential(self, tmp_path, tiny_dataset):
         _, path = _checkpoint(tmp_path)
-        engine = InferenceEngine.from_checkpoint(path, batch_window_s=0.1)
+        engine = InferenceEngine.from_checkpoint(path)
         engine.store.warm_up(tiny_dataset.train)
         sequential = {
             (s, r): engine._execute_batch([(s, r)])[0][(s, r)]
@@ -269,61 +318,4 @@ class TestMicroBatcher:
         for t in threads:
             t.join()
         for pair, expected in sequential.items():
-            np.testing.assert_allclose(outputs[pair], expected, rtol=1e-10)
-
-    def test_execute_errors_propagate_to_all_waiters(self):
-        def explode(pairs):
-            raise RuntimeError("boom")
-
-        batcher = MicroBatcher(explode, window_s=0.0)
-        with pytest.raises(RuntimeError, match="boom"):
-            batcher.submit((0, 0))
-        # the batcher recovers for the next submit
-        with pytest.raises(RuntimeError, match="boom"):
-            batcher.submit((1, 1))
-
-
-class TestHotPairRefresh:
-    def test_refresh_refills_cache_for_hot_pairs(self, tmp_path, tiny_dataset):
-        _, path = _checkpoint(tmp_path)
-        engine = InferenceEngine.from_checkpoint(path, batch_window_s=0.0)
-        engine.store.warm_up(tiny_dataset.train)
-        expected = {(s, r): engine.scores_for(s, r) for s in range(3) for r in range(2)}
-        assert engine.stats()["hot_pairs_tracked"] == 6
-        t = engine.store.current_time + 1
-        engine.ingest([[0, 1, 2]], timestamp=t)
-        engine.flush()  # rollover: every cached score is now stale
-        outcome = engine.refresh_hot_pairs()
-        assert outcome["refreshed"] == 6
-        assert outcome["window_version"] == engine.store.window_version
-        # the refreshed entries serve without another predict call
-        calls = engine.stats()["predict_calls"]
-        fresh = {(s, r): engine.scores_for(s, r) for s in range(3) for r in range(2)}
-        assert engine.stats()["predict_calls"] == calls
-        # and they are the scores the cold path would compute
-        for (s, r), scores in fresh.items():
-            window = engine.store.window_for(
-                np.array([[s, r, 0, 0]], dtype=np.int64)
-            )
-            cold = np.asarray(engine.model.predict_entities(
-                window, np.array([[s, r, 0, 0]], dtype=np.int64)
-            ))[0]
-            np.testing.assert_allclose(scores, cold, rtol=1e-12)
-        assert any(np.any(fresh[p] != expected[p]) for p in fresh)
-
-    def test_refresh_with_no_traffic_is_a_noop(self, tmp_path, tiny_dataset):
-        _, path = _checkpoint(tmp_path)
-        engine = InferenceEngine.from_checkpoint(path, batch_window_s=0.0)
-        engine.store.warm_up(tiny_dataset.train)
-        assert engine.refresh_hot_pairs() == {"refreshed": 0}
-
-    def test_hot_ring_is_bounded(self, tmp_path, tiny_dataset):
-        _, path = _checkpoint(tmp_path)
-        engine = InferenceEngine.from_checkpoint(path, batch_window_s=0.0)
-        engine.store.warm_up(tiny_dataset.train)
-        engine._hot_pairs.capacity = 4
-        for s in range(8):
-            engine.scores_for(s, 0)
-        assert engine.stats()["hot_pairs_tracked"] == 4
-        # oldest pairs evicted, newest retained
-        assert list(engine._hot_pairs) == [(4, 0), (5, 0), (6, 0), (7, 0)]
+            np.testing.assert_array_equal(outputs[pair], expected)

@@ -23,7 +23,7 @@ def _engine(tiny_dataset):
     # the encoder-state cache, so every predict call actually reaches
     # the model (and hence the graph plane)
     return InferenceEngine(
-        model, store, cache_entries=0, batch_window_s=0.0, state_cache_entries=0
+        model, store, cache_entries=0, state_cache_entries=0
     )
 
 

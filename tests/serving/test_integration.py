@@ -60,7 +60,7 @@ def live_server(checkpoint):
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     process = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", checkpoint,
-         "--port", "0", "--warmup", "unit_tiny", "--batch-window-ms", "0"],
+         "--port", "0", "--warmup", "unit_tiny"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
     )
     line = process.stdout.readline()  # "serving distmult at http://... "

@@ -45,7 +45,6 @@ def _store():
 def served():
     engine = InferenceEngine(
         build_model("distmult", E, R, dim=4), _store(), model_key="distmult",
-        batch_window_s=0.0,
     )
     server, _ = serve_in_thread(engine)
     try:
@@ -178,7 +177,7 @@ class TestServerClose:
     def test_killed_worker_is_unreachable(self):
         model = build_model("distmult", E, R, dim=4)
         engines = [
-            ShardEngine(model, _store(), shard, model_key="distmult", batch_window_s=0.0)
+            ShardEngine(model, _store(), shard, model_key="distmult")
             for shard in partition_entities(E, 2)
         ]
         cluster = launch_local_cluster(engines)
@@ -201,7 +200,6 @@ class TestReconnect:
         monkeypatch.setattr(server_module.BaseJSONHandler, "timeout", 0.2)
         engine = InferenceEngine(
             build_model("distmult", E, R, dim=4), _store(), model_key="distmult",
-            batch_window_s=0.0,
         )
         server, _ = serve_in_thread(engine)
         try:

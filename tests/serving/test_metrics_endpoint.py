@@ -35,7 +35,7 @@ def served(tmp_path_factory):
         "model": "distmult", "num_entities": 20, "num_relations": 4, "dim": 8,
         "window": {"history_length": 2, "use_global": False},
     })
-    engine = InferenceEngine.from_checkpoint(path, batch_window_s=0.0)
+    engine = InferenceEngine.from_checkpoint(path)
     engine.store.warm_up(dataset.train)
     server, thread = serve_in_thread(engine)
     yield server, engine
@@ -113,9 +113,12 @@ class TestMetricsEndpoint:
         assert _series(text, "repro_engine_predict_calls_total", **instance) == (
             stats["predict_calls"]
         )
-        assert _series(
-            text, "repro_batcher_batches_total", instance=engine._batcher.instance
-        ) == stats["batching"]["batches"]
+        assert _series(text, "repro_batcher_batches_total", **instance) == (
+            stats["batching"]["batches"]
+        )
+        assert _series(text, "repro_batcher_max_batch_size", **instance) == (
+            stats["batching"]["max_batch_size"]
+        )
         assert "repro_compiled_graph_builds_total" in text
         assert 'cache="snapshot_graph",owner="window"' in text
 

@@ -28,7 +28,7 @@ save_checkpoint(build_model("distmult", 20, 4, dim=8), "model.npz", metadata={
     "model": "distmult", "num_entities": 20, "num_relations": 4, "dim": 8,
     "window": {"history_length": 2, "use_global": True},
 })
-engine = InferenceEngine.from_checkpoint("model.npz", batch_window_s=0.0)
+engine = InferenceEngine.from_checkpoint("model.npz")
 server, _ = serve_in_thread(engine)
 
 

@@ -76,7 +76,7 @@ def served(tmp_path_factory):
         "model": "distmult", "num_entities": 20, "num_relations": 4, "dim": 8,
         "window": {"history_length": 2, "use_global": False},
     })
-    engine = InferenceEngine.from_checkpoint(path, batch_window_s=0.0)
+    engine = InferenceEngine.from_checkpoint(path)
     engine.store.warm_up(dataset.train)
     server, _thread = serve_in_thread(engine)
     yield server
@@ -187,9 +187,9 @@ def _audit_entries(served, request_ids):
 
 class TestPerRequestBatchInfo:
     def test_concurrent_requests_record_their_own_batch(self, served, monkeypatch):
-        """A miss and a prediction-cache hit overlap in time but land in
-        different micro-batches; each audit entry records its own
-        batch's encode mode, not whichever batch ran last."""
+        """A miss and a prediction-cache hit overlap in time; each audit
+        entry records its own request's encode mode, not whichever
+        request ran last."""
         engine = served.engine
         miss_pair, hit_pair = (7, 2), (8, 3)
         engine.predict(*hit_pair)  # warm the hit pair into the prediction cache

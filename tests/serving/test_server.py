@@ -29,7 +29,7 @@ def served(tmp_path_factory):
         "model": "distmult", "num_entities": 25, "num_relations": 5, "dim": 8,
         "window": {"history_length": 2, "use_global": False},
     })
-    engine = InferenceEngine.from_checkpoint(path, batch_window_s=0.0)
+    engine = InferenceEngine.from_checkpoint(path)
     engine.store.warm_up(dataset.train)
     server, thread = serve_in_thread(engine)
     yield server, engine

@@ -47,7 +47,6 @@ def _warm(store):
 def _engine():
     engine = InferenceEngine(
         build_model("distmult", E, R, dim=4), _store(), model_key="distmult",
-        batch_window_s=0.0,
     )
     _warm(engine.store)
     return engine
@@ -69,7 +68,7 @@ def _cluster():
     model = build_model("distmult", E, R, dim=4)
     engines = []
     for shard in partition_entities(E, 2):
-        engine = ShardEngine(model, _store(), shard, model_key="distmult", batch_window_s=0.0)
+        engine = ShardEngine(model, _store(), shard, model_key="distmult")
         _warm(engine.store)
         engines.append(engine)
     running = launch_local_cluster(engines)

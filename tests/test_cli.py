@@ -33,6 +33,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "not_a_model", "unit_tiny"])
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "m.npz", "--batch-window-ms", "0"],
+        ["predict", "0", "0", "--checkpoint", "m.npz", "--batch-window-ms", "0"],
+        ["cluster-worker", "m.npz", "--shard-index", "0", "--num-shards", "1",
+         "--batch-window-ms", "0"],
+        ["cluster", "m.npz"],  # `serve --workers N` is the one cluster command
+    ])
+    def test_removed_batch_window_and_cluster_command_are_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
 
 class TestCommands:
     def test_generate_and_stats(self, tmp_path, capsys):

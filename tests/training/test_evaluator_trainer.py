@@ -122,7 +122,7 @@ class TestSeeding:
 
     def test_training_reproducible(self, tiny_dataset):
         def run():
-            cfg = HisRESConfig(embedding_dim=8, history_length=2, decoder_channels=4, seed=5)
+            cfg = HisRESConfig(embedding_dim=8, history_length=2, decoder_channels=4)
             seed_everything(5)
             model = HisRES(tiny_dataset.num_entities, tiny_dataset.num_relations, cfg)
             tr = Trainer(model, tiny_dataset, history_length=2, seed=5)
