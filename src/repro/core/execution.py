@@ -9,7 +9,7 @@ contract instead of a private detail of each model:
 - :class:`EncoderState` — frozen result of ``model.encode(window)``:
   the evolved entity/relation matrices, any model-specific float
   (``aux``) and integer (``int_aux``) decode inputs, plus the window
-  fingerprint, model version, and dtype they were computed under.
+  fingerprint and model version they were computed under.
   Every model speaks this protocol, so every state is cacheable.
 - **Split encoders** (:func:`is_split_encoder`: HisRES, LogCL) encode
   in two steps.  ``encode_history`` runs the query-independent half
@@ -18,7 +18,7 @@ contract instead of a private detail of each model:
   ``encode`` is exactly the one then the other, so training, the
   evaluator and the scoped plan run one op sequence.
 - :class:`EncoderStateCache` — LRU over encoder states, keyed on
-  model key + model version + dtype + a window fingerprint, with
+  model key + model version + a window fingerprint, with
   hit/miss/evict counters on the :mod:`repro.obs` registry (a
   :class:`~repro.obs.lru.BoundedLRU`) and an ``encoder.encode`` span
   (attribute ``stage``) around every live stage.  A split encoder's
@@ -61,7 +61,7 @@ from typing import (
 import numpy as np
 
 from repro.core.window import HistoryWindow
-from repro.nn.tensor import Tensor, concat, get_default_dtype
+from repro.nn.tensor import Tensor, concat
 from repro.obs.lru import BoundedLRU
 from repro.obs.metrics import get_registry, new_instance
 from repro.obs.trace import span
@@ -164,7 +164,6 @@ class EncoderState:
             produced outside a cache).
         model_version: :attr:`repro.nn.module.Module.version` at encode
             time.
-        dtype: engine default dtype at encode time.
         prediction_time: the window's prediction timestamp.
     """
 
@@ -173,7 +172,6 @@ class EncoderState:
     aux: Tuple[Tensor, ...] = ()
     fingerprint: Optional[Hashable] = None
     model_version: int = 0
-    dtype: str = "float64"
     prediction_time: int = 0
     int_aux: Tuple[np.ndarray, ...] = ()
 
@@ -186,13 +184,12 @@ def make_state(
     aux: Tuple[Tensor, ...] = (),
     int_aux: Tuple[np.ndarray, ...] = (),
 ) -> EncoderState:
-    """Build a model's state, stamping model version and dtype."""
+    """Build a model's state, stamping the model version."""
     return EncoderState(
         entity_matrix=entity_matrix,
         relation_matrix=relation_matrix,
         aux=tuple(aux),
         model_version=model.version,
-        dtype=str(get_default_dtype()),
         prediction_time=int(window.prediction_time),
         int_aux=tuple(int_aux),
     )
@@ -228,9 +225,9 @@ def _encode_stages(model, window: HistoryWindow, owner: str) -> EncoderState:
 class EncoderStateCache(BoundedLRU):
     """Thread-safe LRU over :class:`EncoderState` instances.
 
-    Keys are ``(model_key, model_version, dtype, fingerprint)``: a
-    weight update, a dtype switch, or any change to the window content
-    each make earlier entries unreachable.  A
+    Keys are ``(model_key, model_version, fingerprint)``: a weight
+    update or any change to the window content makes earlier entries
+    unreachable.  A
     :class:`~repro.obs.lru.BoundedLRU` with ``cache="encoder_state"``,
     so ``stats()`` and the serving ``/metrics`` endpoint read the same
     registry series.
@@ -253,7 +250,7 @@ class EncoderStateCache(BoundedLRU):
         super().__init__(capacity, cache="encoder_state", owner=owner)
 
     def _key(self, model, model_key: str, fingerprint: Hashable) -> Hashable:
-        return (model_key, model.version, str(get_default_dtype()), fingerprint)
+        return (model_key, model.version, fingerprint)
 
     def _encode_stage(
         self, model, stage: str, fingerprint: Hashable, encode, *args

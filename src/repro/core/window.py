@@ -114,7 +114,7 @@ class HistoryWindow:
 
         Two windows with the same fingerprint produce bitwise-identical
         encoder states (in eval mode), so the execution plane uses it —
-        together with the model version and dtype — to key the
+        together with the model version — to key the
         :class:`~repro.core.execution.EncoderStateCache`.
 
         The key has two parts, ``(history, query)``:

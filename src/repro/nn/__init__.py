@@ -11,14 +11,7 @@ HisRES equations (Eqs. 1-15 of the paper) require, with every operator
 covered by finite-difference gradient checks in ``tests/nn``.
 """
 
-from repro.nn.tensor import (
-    Tensor,
-    no_grad,
-    is_grad_enabled,
-    get_default_dtype,
-    set_default_dtype,
-    default_dtype,
-)
+from repro.nn.tensor import Tensor, no_grad, is_grad_enabled
 from repro.nn import functional
 from repro.nn.segment import (
     SegmentLayout,
@@ -60,9 +53,6 @@ __all__ = [
     "Tensor",
     "no_grad",
     "is_grad_enabled",
-    "get_default_dtype",
-    "set_default_dtype",
-    "default_dtype",
     "functional",
     "SegmentLayout",
     "segment_sum",

@@ -7,10 +7,10 @@ from typing import Optional
 import numpy as np
 
 from repro.nn.tensor import (
+    DTYPE,
     Tensor,
     concat,
     ensure_tensor,
-    get_default_dtype,
     is_grad_enabled,
     stack,
     where,
@@ -130,7 +130,7 @@ def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:
     """Constant one-hot matrix (labels never need gradients)."""
     indices = np.asarray(indices, dtype=np.int64)
     flat = indices.reshape(-1)
-    out = np.zeros((flat.size, num_classes), dtype=get_default_dtype())
+    out = np.zeros((flat.size, num_classes), dtype=DTYPE)
     out[np.arange(flat.size), flat] = 1.0
     return out.reshape(indices.shape + (num_classes,))
 

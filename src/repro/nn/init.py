@@ -6,15 +6,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.nn.tensor import get_default_dtype
+from repro.nn.tensor import DTYPE
 
 _DEFAULT_RNG = np.random.default_rng(0)
 _rng = _DEFAULT_RNG
-
-
-def _cast(values: np.ndarray) -> np.ndarray:
-    """Initialisers sample in float64, then land in the default dtype."""
-    return values.astype(get_default_dtype(), copy=False)
 
 
 def set_rng(rng: np.random.Generator) -> None:
@@ -37,14 +32,14 @@ def xavier_uniform(shape: Tuple[int, ...], gain: float = 1.0, rng: Optional[np.r
     rng = rng if rng is not None else _rng
     fan_in, fan_out = _fans(shape)
     bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    return _cast(rng.uniform(-bound, bound, size=shape))
+    return rng.uniform(-bound, bound, size=shape)
 
 
 def xavier_normal(shape: Tuple[int, ...], gain: float = 1.0, rng: Optional[np.random.Generator] = None) -> np.ndarray:
     rng = rng if rng is not None else _rng
     fan_in, fan_out = _fans(shape)
     std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return _cast(rng.normal(0.0, std, size=shape))
+    return rng.normal(0.0, std, size=shape)
 
 
 def kaiming_uniform(shape: Tuple[int, ...], a: float = np.sqrt(5.0), rng: Optional[np.random.Generator] = None) -> np.ndarray:
@@ -53,17 +48,17 @@ def kaiming_uniform(shape: Tuple[int, ...], a: float = np.sqrt(5.0), rng: Option
     fan_in, _ = _fans(shape)
     gain = np.sqrt(2.0 / (1.0 + a * a))
     bound = gain * np.sqrt(3.0 / fan_in)
-    return _cast(rng.uniform(-bound, bound, size=shape))
+    return rng.uniform(-bound, bound, size=shape)
 
 
 def uniform(shape: Tuple[int, ...], low: float = -0.1, high: float = 0.1, rng: Optional[np.random.Generator] = None) -> np.ndarray:
     rng = rng if rng is not None else _rng
-    return _cast(rng.uniform(low, high, size=shape))
+    return rng.uniform(low, high, size=shape)
 
 
 def zeros(shape: Tuple[int, ...]) -> np.ndarray:
-    return np.zeros(shape, dtype=get_default_dtype())
+    return np.zeros(shape, dtype=DTYPE)
 
 
 def ones(shape: Tuple[int, ...]) -> np.ndarray:
-    return np.ones(shape, dtype=get_default_dtype())
+    return np.ones(shape, dtype=DTYPE)

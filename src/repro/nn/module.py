@@ -120,12 +120,10 @@ class Module:
         """Snapshot parameter values (copies) keyed by dotted names."""
         return {name: param.data.copy() for name, param in self.named_parameters()}
 
-    def load_state_dict(self, state: Dict[str, np.ndarray], restore_dtype: bool = False) -> None:
+    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
         """Restore parameters from :meth:`state_dict` output.
 
-        ``restore_dtype=True`` makes parameters adopt the stored dtype
-        (exact round-trip for float32 checkpoints); otherwise values are
-        cast into each parameter's existing dtype.
+        Values are copied into the existing float64 parameters.
         """
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
@@ -136,11 +134,7 @@ class Module:
             param = own[name]
             if param.shape != values.shape:
                 raise ValueError(f"shape mismatch for {name}: {param.shape} vs {values.shape}")
-            if restore_dtype and param.data.dtype != values.dtype:
-                param.data = np.array(values, dtype=values.dtype)
-                param.grad = None
-            else:
-                param.data[...] = values
+            param.data[...] = values
         self.bump_version()
 
     # ------------------------------------------------------------------

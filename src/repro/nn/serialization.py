@@ -2,10 +2,10 @@
 
 A checkpoint holds one array per parameter, keyed by the parameter's
 dotted name, plus a JSON metadata blob (``__repro_meta__``).  Loading
-is strict by default: the archive's parameter set must match the
-module's ``state_dict`` exactly, and mismatches raise
+is strict: the archive's parameter names, shapes and (float64) dtypes
+must match the module's ``state_dict`` exactly, and mismatches raise
 :class:`CheckpointError` listing the offending keys instead of failing
-deep inside numpy.
+deep inside numpy or silently casting.
 """
 
 from __future__ import annotations
@@ -46,19 +46,12 @@ def save_checkpoint(module: Module, path: str, metadata: Optional[Dict] = None) 
     """Write a module's parameters (plus JSON metadata) to ``path``.
 
     The archive holds one array per parameter keyed by its dotted name,
-    and a JSON metadata blob (training epoch, config, metrics, …).  The
-    parameter dtype is recorded under the ``dtype`` metadata key so a
-    float32-trained checkpoint restores as float32 (exact round-trip)
-    regardless of the engine's default dtype at load time.  Parent
-    directories are created as needed.
+    and a JSON metadata blob (training epoch, config, metrics, …).
+    Parent directories are created as needed.
     """
-    state = module.state_dict()
-    meta = dict(metadata or {})
-    if state and "dtype" not in meta:
-        meta["dtype"] = str(next(iter(state.values())).dtype)
-    payload = dict(state)
+    payload = module.state_dict()
     payload[_META_KEY] = np.frombuffer(
-        json.dumps(meta).encode("utf-8"), dtype=np.uint8
+        json.dumps(dict(metadata or {})).encode("utf-8"), dtype=np.uint8
     )
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
@@ -81,20 +74,16 @@ def read_checkpoint_metadata(path: str) -> Dict:
             raise CheckpointError(f"corrupt metadata in {path!r}: {exc}") from exc
 
 
-def load_checkpoint(module: Module, path: str, restore_dtype: bool = True) -> Dict:
+def load_checkpoint(module: Module, path: str) -> Dict:
     """Restore parameters saved by :func:`save_checkpoint`.
 
     Returns the metadata dict.  Raises :class:`CheckpointError` when the
-    archive's parameter names or shapes do not exactly match the
+    archive's parameter names, shapes or dtypes do not exactly match the
     module's ``state_dict``, listing every missing / unexpected /
-    mis-shaped key.
-
-    With ``restore_dtype=True`` (the default) the module's parameters
-    adopt the checkpoint's dtype, so a float32-trained checkpoint
-    round-trips bit-exactly even into a float64-initialised module.
-    With ``restore_dtype=False`` a dtype disagreement raises
-    :class:`CheckpointError` listing the mismatched keys, alongside any
-    shape mismatches, instead of silently casting.
+    mis-shaped / mis-typed key; shape and dtype mismatches are reported
+    together.  Values are copied into the module's existing float64
+    parameters.  A ``dtype`` metadata key written by older checkpoints
+    is returned like any other.
     """
     with _open_archive(path) as archive:
         metadata = {}
@@ -127,9 +116,9 @@ def load_checkpoint(module: Module, path: str, restore_dtype: bool = True) -> Di
     problems = []
     if bad_shapes:
         problems.append("shape mismatches: " + "; ".join(bad_shapes))
-    if bad_dtypes and not restore_dtype:
+    if bad_dtypes:
         problems.append("dtype mismatches: " + "; ".join(bad_dtypes))
     if problems:
         raise CheckpointError(f"checkpoint {path!r} has " + " | ".join(problems))
-    module.load_state_dict(state, restore_dtype=restore_dtype)
+    module.load_state_dict(state)
     return metadata

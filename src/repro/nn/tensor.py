@@ -31,47 +31,11 @@ ArrayLike = Union["Tensor", np.ndarray, Scalar, Sequence]
 # turning gradients off for the whole process.
 _GRAD_STATE = threading.local()
 
-# ----------------------------------------------------------------------
-# default dtype
-# ----------------------------------------------------------------------
-# Every tensor the engine creates is cast to the process-wide default
-# dtype.  float64 (the historical behaviour) is kept as the default so
-# gradcheck stays exact; float32 halves memory traffic on the training
-# and serving hot paths.
-_ALLOWED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
-_DEFAULT_DTYPE = np.dtype(np.float64)
-
-
-def get_default_dtype() -> np.dtype:
-    """Return the dtype new tensors are created with."""
-    return _DEFAULT_DTYPE
-
-
-def set_default_dtype(dtype) -> np.dtype:
-    """Set the engine-wide tensor dtype (``float32`` or ``float64``).
-
-    Affects tensor creation, initialisers, and gradient accumulation.
-    Existing tensors keep their dtype.  Returns the previous default.
-    """
-    global _DEFAULT_DTYPE
-    resolved = np.dtype(dtype)
-    if resolved not in _ALLOWED_DTYPES:
-        raise ValueError(
-            f"unsupported default dtype {dtype!r}; expected float32 or float64"
-        )
-    previous = _DEFAULT_DTYPE
-    _DEFAULT_DTYPE = resolved
-    return previous
-
-
-@contextlib.contextmanager
-def default_dtype(dtype):
-    """Context manager that temporarily switches the default dtype."""
-    previous = set_default_dtype(dtype)
-    try:
-        yield
-    finally:
-        set_default_dtype(previous)
+#: The engine's one dtype.  Every tensor, initialiser, gradient and
+#: checkpoint is float64: the parity fences (cached vs live, sharded vs
+#: single-process, blocked vs per-step) and the decode and train goldens
+#: are float64 contracts, and gradcheck stays exact.
+DTYPE = np.dtype(np.float64)
 
 
 def is_grad_enabled() -> bool:
@@ -112,14 +76,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 def _as_array(value: ArrayLike) -> np.ndarray:
     if isinstance(value, Tensor):
         return value.data
-    return np.asarray(value, dtype=_DEFAULT_DTYPE)
+    return np.asarray(value, dtype=DTYPE)
 
 
 def ensure_tensor(value: ArrayLike) -> "Tensor":
     """Coerce numbers/arrays to a constant :class:`Tensor`."""
     if isinstance(value, Tensor):
         return value
-    return Tensor(np.asarray(value, dtype=_DEFAULT_DTYPE))
+    return Tensor(np.asarray(value, dtype=DTYPE))
 
 
 class Tensor:
@@ -135,7 +99,7 @@ class Tensor:
     ):
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        self.data = np.asarray(data, dtype=DTYPE)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad) and is_grad_enabled()
         self._backward: Optional[Callable[[np.ndarray], None]] = None

@@ -95,19 +95,6 @@ def new_run_id() -> str:
     return f"{stamp}-{uuid.uuid4().hex[:6]}"
 
 
-def _default_dtype_name() -> str:
-    # Imported lazily: the ledger must stay usable from contexts that
-    # never touch the tensor engine (CI report rendering, regress).
-    try:
-        from repro.nn import get_default_dtype
-
-        import numpy as np
-
-        return np.dtype(get_default_dtype()).name
-    except Exception:
-        return "unknown"
-
-
 def build_record(
     kind: str,
     *,
@@ -127,7 +114,8 @@ def build_record(
         "kind": str(kind),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z", time.localtime()),
         "git_sha": git_sha(),
-        "dtype": _default_dtype_name(),
+        # the tensor engine's one dtype (repro.nn.tensor.DTYPE)
+        "dtype": "float64",
     }
     if model is not None:
         record["model"] = str(model)

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.nn.serialization import read_checkpoint_metadata
 from repro.serving.audit import AUDIT_DEFAULT_CAPACITY
+from repro.serving.engine import load_served_model
 from repro.serving.router import (
     ClusterRouter,
     RouterServer,
@@ -86,42 +87,14 @@ def build_shard_engine(
 ) -> ShardEngine:
     """Checkpoint -> one worker's :class:`ShardEngine`.
 
-    Mirrors :meth:`InferenceEngine.from_checkpoint` but restricts decode
+    Loads like :meth:`InferenceEngine.from_checkpoint` (one
+    :func:`~repro.serving.engine.load_served_model`) but restricts decode
     to shard ``shard_index`` of ``num_shards`` and, when ``state_dir``
     is given, stacks a :class:`TieredStateCache` over the shared
     encoder-state directory so sibling workers encode each window once.
     """
-    from repro.baselines import build_model
-    from repro.core.config import WindowConfig
-    from repro.nn.serialization import load_checkpoint
-    from repro.serving.store import OnlineHistoryStore
-
-    meta = read_checkpoint_metadata(checkpoint)
-    required = ("model", "num_entities", "num_relations")
-    missing = [key for key in required if key not in meta]
-    if missing:
-        raise ValueError(
-            f"checkpoint {checkpoint!r} lacks serving metadata {missing}; "
-            "re-save it with `repro.cli train --save`"
-        )
-    model_key = meta["model"]
-    num_entities = int(meta["num_entities"])
-    model = build_model(
-        model_key,
-        num_entities,
-        int(meta["num_relations"]),
-        dim=int(meta.get("dim", 32)),
-    )
-    load_checkpoint(model, checkpoint)
-    shard = partition_entities(num_entities, num_shards)[shard_index]
-    window_overrides = (
-        {} if graph_cache_entries is None else {"cache_entries": int(graph_cache_entries)}
-    )
-    store = OnlineHistoryStore(
-        num_entities,
-        int(meta["num_relations"]),
-        window_config=WindowConfig.from_dict(meta.get("window"), **window_overrides),
-    )
+    model, store, meta = load_served_model(checkpoint, graph_cache_entries)
+    shard = partition_entities(store.num_entities, num_shards)[shard_index]
     owner = f"shard{shard_index}"
     state_cache = None
     if state_dir and state_cache_entries:
@@ -134,7 +107,7 @@ def build_shard_engine(
         model,
         store,
         shard,
-        model_key=model_key,
+        model_key=meta["model"],
         cache_entries=cache_entries,
         metadata=meta,
         state_cache_entries=state_cache_entries,

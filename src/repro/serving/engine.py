@@ -48,6 +48,43 @@ from repro.obs.trace import span
 from repro.serving.store import OnlineHistoryStore
 
 
+def load_served_model(
+    path: str, graph_cache_entries: Optional[int] = None, **overrides
+) -> Tuple[object, OnlineHistoryStore, Dict]:
+    """Checkpoint -> ``(model, store, metadata)`` for a serving engine.
+
+    The checkpoint metadata must carry ``model`` (registry key),
+    ``num_entities`` and ``num_relations`` (``dim`` defaults to 32); the
+    ``window`` sub-dict restores the training-time window configuration.
+    ``overrides`` replace individual window keys (e.g.
+    ``history_length=8``); ``graph_cache_entries`` sets the store's
+    WindowBuilder graph-cache LRU capacity (the window-config
+    ``cache_entries`` field).
+    """
+    from repro.baselines import build_model
+
+    if graph_cache_entries is not None:
+        overrides.setdefault("cache_entries", int(graph_cache_entries))
+    meta = read_checkpoint_metadata(path)
+    required = ("model", "num_entities", "num_relations")
+    missing = [key for key in required if key not in meta]
+    if missing:
+        raise ValueError(
+            f"checkpoint {path!r} lacks serving metadata {missing}; "
+            "re-save it with `repro.cli train --save` or pass a metadata "
+            "dict with model/num_entities/num_relations"
+        )
+    num_entities, num_relations = int(meta["num_entities"]), int(meta["num_relations"])
+    model = build_model(meta["model"], num_entities, num_relations, dim=int(meta.get("dim", 32)))
+    load_checkpoint(model, path)
+    store = OnlineHistoryStore(
+        num_entities,
+        num_relations,
+        window_config=WindowConfig.from_dict(meta.get("window"), **overrides),
+    )
+    return model, store, meta
+
+
 class InferenceEngine:
     """Serve top-k object predictions for ``(s, r, ?, t)`` queries.
 
@@ -138,48 +175,17 @@ class InferenceEngine:
         graph_cache_entries: Optional[int] = None,
         **overrides,
     ) -> "InferenceEngine":
-        """Build model + store from a ``repro.cli train --save`` checkpoint.
+        """Build an engine from a ``repro.cli train --save`` checkpoint.
 
-        The checkpoint metadata must carry ``model`` (registry key),
-        ``num_entities``, ``num_relations``, and ``dim``; the ``window``
-        sub-dict restores the training-time window configuration.
-        ``overrides`` replace individual window keys (e.g.
-        ``history_length=8``); ``graph_cache_entries`` sets the store's
-        WindowBuilder graph-cache LRU capacity (it is the window-config
-        ``cache_entries`` field, named apart from the prediction-cache
-        ``cache_entries`` argument above).
+        Model, store and metadata come from :func:`load_served_model`;
+        ``graph_cache_entries`` is named apart from the prediction-cache
+        ``cache_entries`` argument above.
         """
-        from repro.baselines import build_model
-
-        if graph_cache_entries is not None:
-            overrides.setdefault("cache_entries", int(graph_cache_entries))
-        meta = read_checkpoint_metadata(path)
-        required = ("model", "num_entities", "num_relations")
-        missing = [key for key in required if key not in meta]
-        if missing:
-            raise ValueError(
-                f"checkpoint {path!r} lacks serving metadata {missing}; "
-                "re-save it with `repro.cli train --save` or pass a metadata "
-                "dict with model/num_entities/num_relations"
-            )
-        model_key = meta["model"]
-        model = build_model(
-            model_key,
-            int(meta["num_entities"]),
-            int(meta["num_relations"]),
-            dim=int(meta.get("dim", 32)),
-        )
-        load_checkpoint(model, path)
-        window_config = WindowConfig.from_dict(meta.get("window"), **overrides)
-        store = OnlineHistoryStore(
-            int(meta["num_entities"]),
-            int(meta["num_relations"]),
-            window_config=window_config,
-        )
+        model, store, meta = load_served_model(path, graph_cache_entries, **overrides)
         return cls(
             model,
             store,
-            model_key=model_key,
+            model_key=meta["model"],
             cache_entries=cache_entries,
             metadata=meta,
             state_cache_entries=state_cache_entries,
@@ -256,9 +262,13 @@ class InferenceEngine:
         one forward pass for every distinct pair still uncached.
 
         The only way the engine answers, and the only place it counts
-        queries and batches.  Returns the per-pair scores and the
-        batch's info (encode mode, batch size, pairs decoded).
+        queries and batches.  Every pair is answered at one window
+        version, read under the store lock together with the window the
+        misses are scored on, and the scores are cached under it.
+        Returns the per-pair scores and the batch's info (encode mode,
+        batch size, pairs decoded, window version).
         """
+        distinct = list(dict.fromkeys(pairs))
         version = self.store.window_version
         self._drop_superseded(version)
         self._queries_counter.inc(len(pairs))
@@ -267,25 +277,38 @@ class InferenceEngine:
             if len(pairs) > self._max_batch_size.value:
                 self._max_batch_size.set(len(pairs))
         results: Dict[Tuple[int, int], np.ndarray] = {}
-        todo = self._cached(dict.fromkeys(pairs), version, results, self.cache.get)
+        todo = self._cached(distinct, version, results, self.cache.get)
         if todo:
             lo, hi = self._score_range()
             with span("engine.predict_batch", batch=len(pairs), misses=len(todo)):
                 with self._model_lock:
-                    # single flight: a request that held the lock while
-                    # this one waited may have scored these pairs already
-                    todo = self._cached(todo, version, results, self.cache.peek)
+                    with self.store.lock:
+                        if self.store.window_version != version:
+                            # a snapshot sealed since the lookup above:
+                            # answer every pair at the new version
+                            version = self.store.window_version
+                            self._drop_superseded(version)
+                            results.clear()
+                            todo = distinct
+                        # single flight: a request that held the lock while
+                        # this one waited may have scored these pairs already
+                        todo = self._cached(todo, version, results, self.cache.peek)
+                        if todo:
+                            queries = np.zeros((len(todo), 4), dtype=np.int64)
+                            queries[:, :2] = todo
+                            window = self.store.window_for(queries)
                     if todo:
-                        queries = np.zeros((len(todo), 4), dtype=np.int64)
-                        queries[:, :2] = todo
-                        window = self.store.window_for(queries)
                         scores = self._blocked_scores(window, queries, lo, hi)
                         self._forward_counter.inc()
                         for pair, row in zip(todo, scores):
                             results[pair] = row
                             self.cache.put(self._cache_key(pair, version), row)
-        mode = "full" if todo else "cached"
-        return results, {"encode_mode": mode, "batch": len(pairs), "cache_misses": len(todo)}
+        return results, {
+            "encode_mode": "full" if todo else "cached",
+            "batch": len(pairs),
+            "cache_misses": len(todo),
+            "window_version": version,
+        }
 
     # ------------------------------------------------------------------
     def _blocked_scores(self, window, queries: np.ndarray, lo: int, hi: int) -> np.ndarray:

@@ -195,12 +195,15 @@ class ShardWorkerHandler(BaseJSONHandler):
         queries, default_top_k, _ = parse_predict(body, store.num_entities, store.num_relations)
         rows = self.engine.partial_topk(queries, default_top_k=default_top_k)
         shard = self.engine.shard
-        self.audit_detail.update(self.engine.last_batch_info or {})
+        info = self.engine.last_batch_info
+        self.audit_detail.update(info)
         payload = {
             "shard": shard.index,
             "lo": shard.lo,
             "hi": shard.hi,
-            "window_version": self.engine.store.window_version,
+            # the version these rows were decoded at; the store may
+            # have sealed another snapshot since
+            "window_version": info["window_version"],
             "results": rows,
         }
         if body.get("return_spans") and tracing_enabled():

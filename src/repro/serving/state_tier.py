@@ -8,7 +8,7 @@ in-memory :class:`~repro.core.execution.EncoderStateCache`:
 
 - :class:`SharedEncoderStateStore` — an ``.npz``-per-state directory
   keyed **exactly** like the in-memory cache: ``(model_key,
-  model.version, dtype, fingerprint)``.  Only the expensive state
+  model.version, fingerprint)``.  Only the expensive state
   crosses it: a split encoder's (HisRES, LogCL) history state, keyed on
   ``("history", window.history_fingerprint())`` and shared by every
   query set on one history, or another model's full state, keyed on
@@ -145,7 +145,6 @@ class SharedEncoderStateStore:
             aux=aux,
             fingerprint=fingerprint,
             model_version=int(meta.get("model_version", 0)),
-            dtype=str(meta.get("dtype", "float64")),
             prediction_time=int(meta.get("prediction_time", 0)),
             int_aux=int_aux,
         )
@@ -164,7 +163,6 @@ class SharedEncoderStateStore:
         meta = {
             "key_repr": repr(key),
             "model_version": int(state.model_version),
-            "dtype": str(state.dtype),
             "prediction_time": int(state.prediction_time),
             "aux_count": len(state.aux),
             "int_aux_count": len(state.int_aux),

@@ -54,7 +54,10 @@ class OnlineHistoryStore:
         self.num_relations = num_relations
         self.window_config = window_config or WindowConfig()
         self._builder = self.window_config.build(num_entities, num_relations)
-        self._lock = threading.RLock()
+        # guards every read and write of the history; reentrant, so a
+        # reader may hold it across ``window_version`` and
+        # :meth:`window_for` to get a window and the version it is of
+        self.lock = threading.RLock()
         self._pending: List[np.ndarray] = []
         self._pending_time: Optional[int] = None
         self._last_sealed_time: Optional[int] = None
@@ -146,7 +149,7 @@ class OnlineHistoryStore:
         self._validate(quads)
 
         rollovers = 0
-        with self._lock:
+        with self.lock:
             if len(quads):
                 tmin = int(quads[:, 3].min())
                 if self._pending_time is not None:
@@ -184,7 +187,7 @@ class OnlineHistoryStore:
 
         Returns True when a snapshot was actually sealed.
         """
-        with self._lock:
+        with self.lock:
             return self._seal_locked()
 
     def warm_up(self, history: SplitView, max_timestamps: Optional[int] = None) -> int:
@@ -197,7 +200,7 @@ class OnlineHistoryStore:
         if max_timestamps is not None:
             items = items[:max_timestamps]
         absorbed = 0
-        with self._lock:
+        with self.lock:
             for t, quads in items:
                 self.ingest(quads, timestamp=int(t))
                 absorbed += len(quads)
@@ -206,7 +209,7 @@ class OnlineHistoryStore:
 
     def reset(self) -> None:
         """Forget all history (window version keeps increasing)."""
-        with self._lock:
+        with self.lock:
             self._builder.reset()
             self._pending = []
             self._pending_time = None
@@ -224,7 +227,7 @@ class OnlineHistoryStore:
         ``prediction_time`` defaults to one step past the latest sealed
         snapshot (the standard extrapolation setting).
         """
-        with self._lock:
+        with self.lock:
             if prediction_time is None:
                 base = self._last_sealed_time
                 prediction_time = (base + 1) if base is not None else 0
@@ -232,7 +235,7 @@ class OnlineHistoryStore:
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
-        with self._lock:
+        with self.lock:
             return {
                 "window_version": self._window_version,
                 "current_time": self.current_time,

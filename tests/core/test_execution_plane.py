@@ -8,8 +8,8 @@ The acceptance-critical properties live here:
   live ``predict_entities`` path for every registered model, across
   the evaluator two-phase route, and within 1e-9 on the serving
   engine route;
-- cache keys include model version and dtype, so weight updates and
-  dtype switches can never resurrect stale states;
+- cache keys include the model version, so weight updates can never
+  resurrect stale states;
 - vocabulary models cache like any other model, and their states only
   decode the query pairs their window's vocabulary index covers.
 """

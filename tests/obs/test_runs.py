@@ -43,7 +43,7 @@ def test_build_record_envelope():
     assert "dropped" not in record["extra"]
     assert record["run_id"]
     assert record["timestamp"]
-    assert "dtype" in record
+    assert record["dtype"] == "float64"
 
 
 def test_config_fingerprint_is_order_invariant():

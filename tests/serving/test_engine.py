@@ -1,5 +1,6 @@
 """InferenceEngine: checkpoint loading, caching, concurrent requests."""
 
+import sys
 import threading
 import time
 
@@ -8,7 +9,13 @@ import pytest
 
 from repro.baselines import build_model
 from repro.nn.serialization import save_checkpoint
-from repro.serving import InferenceEngine, OnlineHistoryStore
+from repro.serving import (
+    InferenceEngine,
+    OnlineHistoryStore,
+    ServingClient,
+    create_worker_server,
+)
+from repro.serving.cluster import build_shard_engine
 
 
 def _checkpoint(tmp_path, key="distmult", dim=8, num_entities=25, num_relations=5,
@@ -204,6 +211,130 @@ class TestSupersededVersions:
         engine._drop_superseded(old_version)  # a batch that read the old version
         engine.predict(0, 1)
         assert engine.stats()["predict_calls"] == calls
+
+
+class TestWindowVersionRace:
+    """A snapshot sealed while a request is in flight: the request answers
+    at the version of the window it decoded, caches under that version
+    only, and reports it."""
+
+    @staticmethod
+    def _seal_next_snapshot(engine):
+        engine.ingest([[0, 1, 2]], timestamp=engine.store.current_time + 1)
+        assert engine.flush()
+
+    def test_flush_while_waiting_for_the_model_lock(self, tmp_path, tiny_dataset):
+        _, path = _checkpoint(tmp_path)
+        engine = InferenceEngine.from_checkpoint(path)
+        engine.store.warm_up(tiny_dataset.train)
+        old = engine.store.window_version
+        answer = {}
+
+        def ask():
+            answer["scores"] = engine.scores_for(2, 1)
+            answer["info"] = engine.last_batch_info
+
+        with engine._model_lock:
+            asker = threading.Thread(target=ask)
+            asker.start()
+            # counted: the request has read the version it looks up
+            deadline = time.monotonic() + 30
+            while engine.stats()["queries_served"] == 0:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            self._seal_next_snapshot(engine)
+        asker.join(timeout=60)
+        assert not asker.is_alive()
+        new = engine.store.window_version
+        assert new == old + 1
+        assert [key[-1] for key in engine.cache] == [new]
+        assert answer["info"]["window_version"] == new
+        control = InferenceEngine(engine.model, engine.store, model_key="distmult")
+        np.testing.assert_array_equal(answer["scores"], control.scores_for(2, 1))
+
+    def test_concurrent_flushes_every_answer_matches_its_version(self, tmp_path, tiny_dataset):
+        """Stress: readers (more than cores) under a short switch interval
+        while a writer seals snapshots; every answer must equal a fresh
+        engine's answer at the window version the request reports.  RE-GCN
+        reads the history, so its scores move with every sealed snapshot."""
+        _, path = _checkpoint(tmp_path, key="regcn")
+        engine = InferenceEngine.from_checkpoint(path)
+        engine.store.warm_up(tiny_dataset.train)
+        base, start = engine.store.window_version, engine.store.current_time
+        steps = [[[i % 25, i % 5, (3 * i) % 25]] for i in range(6)]
+        pairs = [(s, s % 5) for s in range(8)]
+        answers, failures = [], []
+        done = threading.Event()
+
+        def read():
+            try:
+                while not done.is_set():
+                    for pair in pairs:
+                        scores = engine.scores_for(*pair)
+                        answers.append((engine.last_batch_info["window_version"], pair, scores))
+            except Exception as exc:  # surfaced by the assertion below
+                failures.append(exc)
+
+        def write():
+            try:
+                for i, events in enumerate(steps):
+                    engine.ingest(events, timestamp=start + 1 + i)
+                    engine.flush()
+                    time.sleep(0.005)
+            finally:
+                done.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            threads.append(threading.Thread(target=write))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures
+        versions = range(base, base + len(steps) + 1)
+        assert {version for version, _, _ in answers} <= set(versions)
+        reference = InferenceEngine.from_checkpoint(path)
+        reference.store.warm_up(tiny_dataset.train)
+        for version in versions:
+            if version > base:
+                i = version - base - 1
+                reference.ingest(steps[i], timestamp=start + 1 + i)
+                reference.flush()
+            assert reference.store.window_version == version
+            want = {pair: reference.scores_for(*pair) for pair in pairs}
+            for _, pair, scores in (a for a in answers if a[0] == version):
+                np.testing.assert_array_equal(scores, want[pair])
+
+    def test_shard_decode_reply_reports_the_decoded_version(self, tmp_path, tiny_dataset):
+        _, path = _checkpoint(tmp_path)
+        engine = build_shard_engine(path, shard_index=0, num_shards=2)
+        engine.store.warm_up(tiny_dataset.train)
+        decoded_at = engine.store.window_version
+        blocked_scores = engine._blocked_scores
+
+        def decode_then_seal(*args):
+            rows = blocked_scores(*args)
+            self._seal_next_snapshot(engine)  # after the decode, before the reply
+            return rows
+
+        engine._blocked_scores = decode_then_seal
+        server = create_worker_server(engine, port=0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            reply = ServingClient(server.url).post(
+                "/decode", {"queries": [{"subject": 2, "relation": 1}]}
+            )
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert engine.store.window_version == decoded_at + 1
+        assert reply["window_version"] == decoded_at
 
 
 class TestSplitEncoderServing:

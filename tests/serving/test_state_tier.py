@@ -54,7 +54,7 @@ class TestRoundTrip:
     def test_store_load_bitwise(self, tmp_path, model, window):
         tier = SharedEncoderStateStore(str(tmp_path), owner="t")
         state = model.encode(window)
-        key = ("regcn", 0, "float64", window.fingerprint())
+        key = ("regcn", 0, window.fingerprint())
         assert tier.store(key, state)
         loaded = tier.load(key)
         assert loaded is not None
@@ -85,7 +85,7 @@ class TestRoundTrip:
             state = model.encode(window)
         assert state.int_aux
         tier = SharedEncoderStateStore(str(tmp_path), owner="t")
-        state_key = (key, model.version, "float64", window.fingerprint())
+        state_key = (key, model.version, window.fingerprint())
         assert tier.store(state_key, state)
         loaded = tier.load(state_key)
         assert len(loaded.aux) == len(state.aux)
@@ -101,20 +101,20 @@ class TestRoundTrip:
 
     def test_load_missing_key(self, tmp_path):
         tier = SharedEncoderStateStore(str(tmp_path), owner="t")
-        assert tier.load(("nope", 0, "float64", 123)) is None
+        assert tier.load(("nope", 0, 123)) is None
 
     def test_digest_collision_degrades_to_miss(self, tmp_path, model, window):
         tier = SharedEncoderStateStore(str(tmp_path), owner="t")
-        key = ("regcn", 0, "float64", window.fingerprint())
+        key = ("regcn", 0, window.fingerprint())
         tier.store(key, model.encode(window))
         # same file path forged for a different key must not serve
-        other = ("regcn", 1, "float64", window.fingerprint())
+        other = ("regcn", 1, window.fingerprint())
         os.rename(tier.path_for(key), tier.path_for(other))
         assert tier.load(other) is None
 
     def test_corrupt_file_is_a_miss(self, tmp_path, model, window):
         tier = SharedEncoderStateStore(str(tmp_path), owner="t")
-        key = ("regcn", 0, "float64", window.fingerprint())
+        key = ("regcn", 0, window.fingerprint())
         tier.store(key, model.encode(window))
         with open(tier.path_for(key), "wb") as handle:
             handle.write(b"not an npz")
@@ -124,7 +124,7 @@ class TestRoundTrip:
 class TestLocking:
     def test_acquire_release_cycle(self, tmp_path):
         tier = SharedEncoderStateStore(str(tmp_path), owner="t")
-        key = ("m", 0, "float64", 1)
+        key = ("m", 0, 1)
         assert tier.try_acquire(key)
         assert not tier.try_acquire(key)  # held
         tier.release(key)
@@ -132,7 +132,7 @@ class TestLocking:
 
     def test_stale_lock_is_broken(self, tmp_path):
         tier = SharedEncoderStateStore(str(tmp_path), owner="t", lock_stale_s=0.0)
-        key = ("m", 0, "float64", 1)
+        key = ("m", 0, 1)
         assert tier.try_acquire(key)
         # age 0 > stale 0 is false; force the mtime into the past
         past = os.path.getmtime(tier._lock_path(key)) - 10
@@ -141,7 +141,7 @@ class TestLocking:
 
     def test_wait_for_returns_published_state(self, tmp_path, model, window):
         tier = SharedEncoderStateStore(str(tmp_path), owner="t", lock_timeout_s=5.0)
-        key = ("regcn", 0, "float64", window.fingerprint())
+        key = ("regcn", 0, window.fingerprint())
         assert tier.try_acquire(key)
         state = model.encode(window)
 
@@ -162,7 +162,7 @@ class TestLocking:
 
     def test_wait_for_gives_up_on_timeout(self, tmp_path):
         tier = SharedEncoderStateStore(str(tmp_path), owner="t")
-        key = ("m", 0, "float64", 1)
+        key = ("m", 0, 1)
         assert tier.try_acquire(key)  # never published, never released
         assert tier.wait_for(key, timeout=0.05) is None
 
